@@ -2,8 +2,7 @@
 
 use crate::{DeqOnly, Drf, Equi, GreedyFcfs, Las, RandomRr, RoundRobinOnly};
 use krad::KRad;
-use ksim::Scheduler;
-use ktelemetry::{SpanRecorder, TelemetryHandle};
+use ksim::{Scheduler, SimConfig};
 use std::fmt;
 
 /// Every scheduler the experiments compare, including K-RAD itself.
@@ -14,9 +13,10 @@ use std::fmt;
 /// use ksim::{simulate, JobSpec, Resources, SimConfig};
 /// let jobs = vec![JobSpec::batched(chain(1, 5, &[Category(0)]))];
 /// let res = Resources::uniform(1, 2);
+/// let cfg = SimConfig::default();
 /// for kind in SchedulerKind::ALL {
-///     let mut sched = kind.build(res.k());
-///     let o = simulate(sched.as_mut(), &jobs, &res, &SimConfig::default());
+///     let mut sched = kind.build(res.k(), SchedulerKind::DEFAULT_SEED, &cfg);
+///     let o = simulate(sched.as_mut(), &jobs, &res, &cfg);
 ///     assert_eq!(o.makespan, 5, "{kind}: a chain takes span steps");
 /// }
 /// ```
@@ -53,18 +53,28 @@ impl SchedulerKind {
         SchedulerKind::Drf,
     ];
 
-    /// Instantiate a fresh scheduler for a `k`-category machine.
-    /// Randomized schedulers use a fixed default seed; use
-    /// [`SchedulerKind::build_seeded`] to vary it.
-    pub fn build(self, k: usize) -> Box<dyn Scheduler + Send> {
-        self.build_seeded(k, 0xC0FFEE)
-    }
+    /// The seed [`build`](SchedulerKind::build) callers pass when they
+    /// have no reason to vary the randomized schedulers; the
+    /// experiments pin it, so `results/` depends on it.
+    pub const DEFAULT_SEED: u64 = 0xC0FFEE;
 
-    /// Instantiate with an explicit seed for randomized schedulers
-    /// (ignored by the deterministic ones).
-    pub fn build_seeded(self, k: usize, seed: u64) -> Box<dyn Scheduler + Send> {
+    /// Instantiate a fresh scheduler for a `k`-category machine.
+    ///
+    /// `seed` drives the randomized schedulers (ignored by the
+    /// deterministic ones). Schedulers that observe themselves
+    /// (currently K-RAD) record decision events into `cfg.telemetry`
+    /// and `deq_allot`/`rr_cycle` spans into `cfg.spans` — the same
+    /// handles the engine uses when it runs under `cfg`, so scheduler
+    /// decisions interleave with engine step events in one stream.
+    /// With both off (the default) every kind behaves exactly as its
+    /// plain constructor.
+    pub fn build(self, k: usize, seed: u64, cfg: &SimConfig) -> Box<dyn Scheduler + Send> {
         match self {
-            SchedulerKind::KRad => Box::new(KRad::new(k)),
+            SchedulerKind::KRad => Box::new(KRad::with_instrumentation(
+                k,
+                cfg.telemetry.clone(),
+                cfg.spans.clone(),
+            )),
             SchedulerKind::Equi => Box::new(Equi::new()),
             SchedulerKind::DeqOnly => Box::new(DeqOnly::new()),
             SchedulerKind::RrOnly => Box::new(RoundRobinOnly::new()),
@@ -72,37 +82,6 @@ impl SchedulerKind {
             SchedulerKind::Las => Box::new(Las::new()),
             SchedulerKind::RandomRr => Box::new(RandomRr::seeded(seed)),
             SchedulerKind::Drf => Box::new(Drf::new()),
-        }
-    }
-
-    /// Instantiate with a telemetry handle: schedulers that emit
-    /// decision events (currently K-RAD) record into `tel`; the rest
-    /// behave exactly like [`SchedulerKind::build_seeded`]. Pass a
-    /// clone of the handle wired into `ksim::SimConfig::telemetry` so
-    /// scheduler decisions interleave with engine step events.
-    pub fn build_instrumented(
-        self,
-        k: usize,
-        seed: u64,
-        tel: TelemetryHandle,
-    ) -> Box<dyn Scheduler + Send> {
-        self.build_observed(k, seed, tel, SpanRecorder::off())
-    }
-
-    /// Instantiate with full observability: telemetry events into
-    /// `tel` *and* `deq_allot`/`rr_cycle` span durations into `spans`
-    /// (currently K-RAD; other kinds ignore both). The service daemon
-    /// uses this so live scrapes see scheduler-internal timing.
-    pub fn build_observed(
-        self,
-        k: usize,
-        seed: u64,
-        tel: TelemetryHandle,
-        spans: SpanRecorder,
-    ) -> Box<dyn Scheduler + Send> {
-        match self {
-            SchedulerKind::KRad => Box::new(KRad::with_instrumentation(k, tel, spans)),
-            other => other.build_seeded(k, seed),
         }
     }
 
@@ -134,20 +113,20 @@ mod tests {
     #[test]
     fn build_produces_named_schedulers() {
         for kind in SchedulerKind::ALL {
-            let s = kind.build(2);
+            let s = kind.build(2, SchedulerKind::DEFAULT_SEED, &SimConfig::default());
             assert!(!s.name().is_empty(), "{kind} has a name");
         }
     }
 
     #[test]
-    fn build_instrumented_wires_krad_and_leaves_the_rest_silent() {
+    fn build_wires_telemetry_into_krad_and_leaves_the_rest_silent() {
         use kdag::JobId;
-        use ksim::{AllotmentMatrix, Resources};
+        use ksim::{AllotmentMatrix, Resources, TelemetryHandle};
 
         let res = Resources::uniform(2, 1);
         for kind in SchedulerKind::ALL {
             let (tel, rec) = TelemetryHandle::recording();
-            let mut s = kind.build_instrumented(2, 7, tel);
+            let mut s = kind.build(2, 7, &SimConfig::default().with_telemetry(tel));
             for i in 0..4 {
                 s.on_arrival(JobId(i), 1);
             }

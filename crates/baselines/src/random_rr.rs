@@ -31,7 +31,7 @@ impl RandomRr {
 
 impl Default for RandomRr {
     fn default() -> Self {
-        RandomRr::seeded(0xC0FFEE)
+        RandomRr::seeded(crate::SchedulerKind::DEFAULT_SEED)
     }
 }
 

@@ -28,7 +28,7 @@
 
 use kdag::SelectionPolicy;
 use krad::KRad;
-use ksim::{LiveSimulation, SimConfig, SimOutcome, Simulation, TimePolicy};
+use ksim::{simulate, LiveSimulation, SimConfig, SimOutcome, TimePolicy};
 use ktelemetry::json::{self, Value};
 use ktelemetry::{
     FanoutSink, FlightRecorder, PhaseStat, SharedSink, SpanKind, SpanRecorder, TelemetryHandle,
@@ -149,17 +149,13 @@ fn run_suite(spec: &SuiteSpec, iters: u32) -> SuiteRun {
         // wall/phase numbers.
         let spans = SpanRecorder::profiler();
         let mut sched = KRad::with_instrumentation(res.k(), TelemetryHandle::off(), spans.clone());
-        let sim = Simulation::builder()
-            .resources(res.clone())
-            .jobs(jobs.iter().cloned())
-            .policy(SelectionPolicy::Fifo)
-            .quantum(quantum)
-            .time_policy(spec.time_policy)
-            .spans(spans.clone())
-            .build()
-            .expect("pinned workloads match their machines");
+        let cfg = SimConfig::default()
+            .with_policy(SelectionPolicy::Fifo)
+            .with_quantum(quantum)
+            .with_time_policy(spec.time_policy)
+            .with_spans(spans.clone());
         let started = Instant::now();
-        let outcome = sim.run(&mut sched);
+        let outcome = simulate(&mut sched, &jobs, &res, &cfg);
         let wall_ns = started.elapsed().as_nanos() as u64;
         let profile = spans.profile().unwrap_or_default();
         let better = match &best {
@@ -521,12 +517,11 @@ fn quantum_latencies_ns(tracing: bool) -> Vec<u64> {
     }
     sinks.push(Arc::new(Mutex::new(FlightRecorder::new(4096))));
     let tel = TelemetryHandle::new(FanoutSink::new(sinks));
-    let cfg = SimConfig::builder()
-        .policy(SelectionPolicy::Fifo)
-        .quantum(TRACE_WORKLOAD.quantum())
-        .time_policy(TimePolicy::UnitStep)
-        .telemetry(tel.clone())
-        .build();
+    let cfg = SimConfig::default()
+        .with_policy(SelectionPolicy::Fifo)
+        .with_quantum(TRACE_WORKLOAD.quantum())
+        .with_time_policy(TimePolicy::UnitStep)
+        .with_telemetry(tel.clone());
     let mut live = LiveSimulation::new(res, cfg).expect("pinned workloads match their machines");
     let mut sched = KRad::with_instrumentation(k, tel, SpanRecorder::off());
     live.reserve(jobs.len());

@@ -13,8 +13,7 @@ use kanalysis::timeline::{render_timeline, utilization_timeline};
 use kbaselines::SchedulerKind;
 use kdag::{DagStats, SelectionPolicy};
 use ksim::{
-    simulate, DesireModel, JobSpec, LiveSimulation, Resources, SimConfig, SimOutcome, Simulation,
-    TimePolicy,
+    simulate, DesireModel, JobSpec, LiveSimulation, Resources, SimConfig, SimOutcome, TimePolicy,
 };
 use ktelemetry::json::Value;
 use ktelemetry::{FanoutSink, JsonlSink, RecordingSink, SharedSink, SpanRecorder, TelemetryHandle};
@@ -50,6 +49,18 @@ pub(crate) fn parse_time_policy(args: &ArgMap) -> Result<TimePolicy, String> {
 fn load(args: &ArgMap) -> Result<(String, Vec<JobSpec>), String> {
     let path = args.one_positional()?;
     load_jobset(Path::new(path)).map_err(|e| e.to_string())
+}
+
+/// Load the job set named by the positional argument onto the
+/// `--machine`, refusing whatever [`ksim::check`] refuses under `cfg`.
+fn load_on_machine(
+    args: &ArgMap,
+    cfg: &SimConfig,
+) -> Result<(String, Vec<JobSpec>, Resources), String> {
+    let (label, jobs) = load(args)?;
+    let res = Resources::new(args.machine()?);
+    ksim::check(&jobs, &res, cfg).map_err(|e| e.to_string())?;
+    Ok((label, jobs, res))
 }
 
 /// `krad generate` — produce a workload JSON.
@@ -143,15 +154,7 @@ pub fn inspect(args: &ArgMap) -> Result<String, String> {
 
 /// `krad bounds` — the paper's lower bounds for a workload/machine.
 pub fn bounds(args: &ArgMap) -> Result<String, String> {
-    let (label, jobs) = load(args)?;
-    let res = Resources::new(args.machine()?);
-    if jobs.iter().any(|j| j.dag.k() != res.k()) {
-        return Err(format!(
-            "workload has K={} but machine has {} categories",
-            jobs[0].dag.k(),
-            res.k()
-        ));
-    }
+    let (label, jobs, res) = load_on_machine(args, &SimConfig::default())?;
     let mb = makespan_bounds(&jobs, &res);
     let mut out = String::new();
     writeln!(out, "workload '{label}' on machine {:?}", res.as_slice()).unwrap();
@@ -240,15 +243,6 @@ fn outcome_json(o: &SimOutcome) -> Value {
 
 /// `krad simulate` — run a scheduler on a workload.
 pub fn simulate_cmd(args: &ArgMap) -> Result<String, String> {
-    let (label, jobs) = load(args)?;
-    let res = Resources::new(args.machine()?);
-    if jobs.iter().any(|j| j.dag.k() != res.k()) {
-        return Err(format!(
-            "workload has K={} but machine has {} categories",
-            jobs[0].dag.k(),
-            res.k()
-        ));
-    }
     let kind = parse_scheduler(args.get_or("scheduler", "k-rad"))?;
     let policy = parse_policy(args.get_or("policy", "fifo"))?;
     let seed: u64 = args.num("seed", 0)?;
@@ -266,6 +260,7 @@ pub fn simulate_cmd(args: &ArgMap) -> Result<String, String> {
             .map_err(|_| format!("bad --feedback: {delta}"))?;
         cfg = cfg.with_desire_model(DesireModel::AGreedy { delta });
     }
+    let (label, jobs, res) = load_on_machine(args, &cfg)?;
 
     // Telemetry: a JSONL file (--telemetry), an in-memory recording
     // for the end-of-run summary (--telemetry-summary), or both
@@ -293,14 +288,8 @@ pub fn simulate_cmd(args: &ArgMap) -> Result<String, String> {
     };
     cfg = cfg.with_telemetry(tel.clone());
 
-    let sim = Simulation::builder()
-        .resources(res.clone())
-        .jobs(jobs.iter().cloned())
-        .config(cfg.clone())
-        .build()
-        .map_err(|e| e.to_string())?;
-    let mut sched = kind.build_instrumented(res.k(), seed, tel.clone());
-    let o = sim.run(sched.as_mut());
+    let mut sched = kind.build(res.k(), seed, &cfg);
+    let o = simulate(sched.as_mut(), &jobs, &res, &cfg);
     tel.flush();
     let lb = makespan_bounds(&jobs, &res).lower_bound();
 
@@ -379,15 +368,7 @@ pub fn simulate_cmd(args: &ArgMap) -> Result<String, String> {
 /// `krad compare` — run every scheduler on a workload and print the
 /// standard comparison table.
 pub fn compare(args: &ArgMap) -> Result<String, String> {
-    let (label, jobs) = load(args)?;
-    let res = Resources::new(args.machine()?);
-    if jobs.iter().any(|j| j.dag.k() != res.k()) {
-        return Err(format!(
-            "workload has K={} but machine has {} categories",
-            jobs[0].dag.k(),
-            res.k()
-        ));
-    }
+    let (label, jobs, res) = load_on_machine(args, &SimConfig::default())?;
     let policy = parse_policy(args.get_or("policy", "fifo"))?;
     let rows = kexperiments::runner::compare_schedulers(&jobs, &res, policy, args.num("seed", 0)?);
     let mut table = kexperiments::runner::comparison_table(
@@ -401,19 +382,11 @@ pub fn compare(args: &ArgMap) -> Result<String, String> {
 /// `krad verify` — run K-RAD on a workload and check every applicable
 /// guarantee of the paper against the outcome.
 pub fn verify(args: &ArgMap) -> Result<String, String> {
-    let (label, jobs) = load(args)?;
-    let res = Resources::new(args.machine()?);
-    if jobs.iter().any(|j| j.dag.k() != res.k()) {
-        return Err(format!(
-            "workload has K={} but machine has {} categories",
-            jobs[0].dag.k(),
-            res.k()
-        ));
-    }
     let policy = parse_policy(args.get_or("policy", "critical-last"))?;
     let cfg = SimConfig::default()
         .with_policy(policy)
         .with_seed(args.num("seed", 0)?);
+    let (label, jobs, res) = load_on_machine(args, &cfg)?;
     let mut sched = krad::KRad::new(res.k());
     let o = simulate(&mut sched, &jobs, &res, &cfg);
 
@@ -535,14 +508,9 @@ pub fn timeline(args: &ArgMap) -> Result<String, String> {
         .with_time_policy(parse_time_policy(args)?)
         .with_trace(true)
         .with_telemetry(tel.clone());
-    let sim = Simulation::builder()
-        .resources(res.clone())
-        .jobs(jobs.iter().cloned())
-        .config(cfg)
-        .build()
-        .map_err(|e| e.to_string())?;
-    let mut sched = kind.build_instrumented(res.k(), seed, tel.clone());
-    let o = sim.run(sched.as_mut());
+    ksim::check(&jobs, &res, &cfg).map_err(|e| e.to_string())?;
+    let mut sched = kind.build(res.k(), seed, &cfg);
+    let o = simulate(sched.as_mut(), &jobs, &res, &cfg);
     tel.flush();
     let events = rec.lock().map(|mut g| g.take()).unwrap_or_default();
 
@@ -635,6 +603,85 @@ mod tests {
         generate(&a).unwrap();
         let a = parse(&[file.to_str().unwrap(), "--machine", "4,4"]);
         assert!(bounds(&a).unwrap_err().contains("categories"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A job set whose job 0 has K=2 and job 1 has K=3.
+    fn mixed_k_file(dir: &Path) -> String {
+        use kdag::generators::chain;
+        use kdag::Category;
+        let jobs = [
+            JobSpec::batched(chain(2, 3, &[Category(0), Category(1)])),
+            JobSpec::batched(chain(3, 3, &[Category(0), Category(1), Category(2)])),
+        ];
+        let file = dir.join("mixed.json");
+        save_jobset(&file, "mixed-k", &jobs).unwrap();
+        file.to_str().unwrap().to_string()
+    }
+
+    #[test]
+    fn mixed_k_job_sets_name_the_offending_job() {
+        let dir = std::env::temp_dir().join(format!("krad-cmd5-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = mixed_k_file(&dir);
+        for cmd in ["bounds", "simulate", "compare", "verify"] {
+            let argv: Vec<String> = [cmd, &file, "--machine", "2,2"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            assert_eq!(
+                crate::run(&argv).unwrap_err(),
+                "job 1: DAG has 3 categories but machine has 2",
+                "{cmd}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn out_of_range_feedback_is_an_error_not_a_panic() {
+        let dir = std::env::temp_dir().join(format!("krad-cmd6-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("w.json");
+        let file = file.to_str().unwrap();
+        generate(&parse(&[
+            "--kind", "mix", "--k", "2", "--jobs", "3", "--out", file,
+        ]))
+        .unwrap();
+        for delta in ["1.5", "NaN", "-0.1"] {
+            let err =
+                simulate_cmd(&parse(&[file, "--machine", "2,2", "--feedback", delta])).unwrap_err();
+            assert!(
+                err.starts_with("A-Greedy delta must be in [0, 1]"),
+                "{delta}: {err}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_quantum_is_an_error_in_every_engine_command() {
+        let dir = std::env::temp_dir().join(format!("krad-cmd7-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("w.json");
+        let file = file.to_str().unwrap();
+        generate(&parse(&[
+            "--kind", "mix", "--k", "2", "--jobs", "3", "--out", file,
+        ]))
+        .unwrap();
+        let trace = dir.join("trace.json");
+        let quantum = "quantum must be at least 1";
+        let sim = simulate_cmd(&parse(&[file, "--machine", "2,2", "--quantum", "0"]));
+        assert_eq!(sim.unwrap_err(), quantum);
+        let tl = timeline(&parse(&[
+            "--out",
+            trace.to_str().unwrap(),
+            "--quantum",
+            "0",
+        ]));
+        assert_eq!(tl.unwrap_err(), quantum);
+        assert!(!trace.exists(), "no trace is written for a refused run");
+        assert_eq!(profile(&parse(&["--quantum", "0"])).unwrap_err(), quantum);
         std::fs::remove_dir_all(&dir).ok();
     }
 

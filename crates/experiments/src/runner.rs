@@ -1,4 +1,4 @@
-//! Shared helpers: simulation shortcuts, a parallel sweep runner, and
+//! Shared helpers: the pinned-seed run, a parallel sweep runner, and
 //! the all-schedulers comparison harness.
 
 use kanalysis::bounds::makespan_bounds;
@@ -6,101 +6,16 @@ use kanalysis::stats::percentile;
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::{Category, SelectionPolicy};
-use ksim::{JobSpec, Resources, SimOutcome, Simulation};
-use ktelemetry::TelemetryHandle;
+use ksim::{simulate, JobSpec, Resources, SimConfig, SimOutcome};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// One experiment run being assembled: a scheduler kind on a workload,
-/// plus options.
-///
-/// ```no_run
-/// # use kbaselines::SchedulerKind;
-/// # use kdag::SelectionPolicy;
-/// # use kexperiments::runner::Run;
-/// # let (jobs, res) = (vec![], ksim::Resources::uniform(1, 2));
-/// let o = Run::new(SchedulerKind::KRad, &jobs, &res)
-///     .policy(SelectionPolicy::CriticalLast)
-///     .seed(42)
-///     .go();
-/// ```
-///
-/// `go()` builds a fresh scheduler instance (seeded identically to
-/// [`SchedulerKind::build`], so instrumented runs reproduce the
-/// uninstrumented outcomes bit-for-bit), assembles a
-/// [`Simulation`], and runs it. A telemetry handle passed via
-/// [`Run::telemetry`] is wired into *both* the engine (run/step
-/// lifecycle events) and the scheduler (decision events, for kinds that
-/// emit them), so one sink sees the interleaved stream.
-#[derive(Clone, Debug)]
-pub struct Run<'a> {
-    kind: SchedulerKind,
-    jobs: &'a [JobSpec],
-    res: &'a Resources,
-    policy: SelectionPolicy,
-    seed: u64,
-    quantum: u64,
-    tel: TelemetryHandle,
-}
-
-impl<'a> Run<'a> {
-    /// Start assembling a run of `kind` on `jobs`/`res` with the
-    /// standard defaults (FIFO policy, seed 0, quantum 1, telemetry
-    /// off).
-    pub fn new(kind: SchedulerKind, jobs: &'a [JobSpec], res: &'a Resources) -> Self {
-        Run {
-            kind,
-            jobs,
-            res,
-            policy: SelectionPolicy::Fifo,
-            seed: 0,
-            quantum: 1,
-            tel: TelemetryHandle::off(),
-        }
-    }
-
-    /// Set the environment's [`SelectionPolicy`].
-    pub fn policy(mut self, policy: SelectionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Set the engine RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Set the scheduling quantum `q ≥ 1`.
-    pub fn quantum(mut self, quantum: u64) -> Self {
-        self.quantum = quantum;
-        self
-    }
-
-    /// Wire a telemetry handle into engine *and* scheduler.
-    pub fn telemetry(mut self, tel: TelemetryHandle) -> Self {
-        self.tel = tel;
-        self
-    }
-
-    /// Execute the run and return the outcome.
-    pub fn go(self) -> SimOutcome {
-        let sim = Simulation::builder()
-            .resources(self.res.clone())
-            .jobs(self.jobs.iter().cloned())
-            .policy(self.policy)
-            .seed(self.seed)
-            .quantum(self.quantum)
-            .telemetry(self.tel.clone())
-            .build()
-            .expect("experiment workloads match their machine");
-        // Scheduler seed matches `SchedulerKind::build` so instrumented
-        // runs reproduce the uninstrumented outcomes bit-for-bit.
-        let mut sched = self
-            .kind
-            .build_instrumented(self.res.k(), 0xC0FFEE, self.tel);
-        sim.run(sched.as_mut())
-    }
+/// Run `kind` on `jobs`/`res` under `cfg`: a fresh scheduler built
+/// with [`SchedulerKind::DEFAULT_SEED`] (the experiments pin it, so
+/// `results/` depends on it) and wired to `cfg`'s telemetry and spans.
+pub fn run(kind: SchedulerKind, jobs: &[JobSpec], res: &Resources, cfg: &SimConfig) -> SimOutcome {
+    let mut sched = kind.build(res.k(), SchedulerKind::DEFAULT_SEED, cfg);
+    simulate(sched.as_mut(), jobs, res, cfg)
 }
 
 /// Map `f` over `items` on all available cores, preserving order.
@@ -179,7 +94,8 @@ pub fn compare_schedulers(
     let lb = makespan_bounds(jobs, res).lower_bound();
     let kinds: Vec<SchedulerKind> = SchedulerKind::ALL.to_vec();
     par_map(&kinds, |_, &kind| {
-        let o = Run::new(kind, jobs, res).policy(policy).seed(seed).go();
+        let cfg = SimConfig::default().with_policy(policy).with_seed(seed);
+        let o = run(kind, jobs, res, &cfg);
         let responses: Vec<f64> = (0..o.job_count()).map(|i| o.response(i) as f64).collect();
         CompareRow {
             kind,
@@ -245,27 +161,28 @@ mod tests {
     }
 
     #[test]
-    fn run_builder_smoke() {
+    fn run_smoke() {
         let jobs = vec![JobSpec::batched(chain(1, 5, &[Category(0)]))];
         let res = Resources::uniform(1, 2);
         for kind in SchedulerKind::ALL {
-            let o = Run::new(kind, &jobs, &res).go();
+            let o = run(kind, &jobs, &res, &SimConfig::default());
             assert_eq!(o.makespan, 5, "{kind}: chain must take span steps");
         }
     }
 
     #[test]
     fn instrumented_run_matches_plain_run_and_records_events() {
-        use ksim::TelemetryEvent;
+        use ksim::{TelemetryEvent, TelemetryHandle};
 
         let jobs: Vec<JobSpec> = (0..5)
             .map(|i| JobSpec::batched(chain(1, 3 + i, &[Category(0)])))
             .collect();
         let res = Resources::uniform(1, 2);
         for kind in SchedulerKind::ALL {
-            let plain = Run::new(kind, &jobs, &res).seed(9).go();
+            let cfg = SimConfig::default().with_seed(9);
+            let plain = run(kind, &jobs, &res, &cfg);
             let (tel, rec) = TelemetryHandle::recording();
-            let o = Run::new(kind, &jobs, &res).seed(9).telemetry(tel).go();
+            let o = run(kind, &jobs, &res, &cfg.with_telemetry(tel));
             assert_eq!(
                 o.makespan, plain.makespan,
                 "{kind}: telemetry must not perturb"

@@ -10,7 +10,7 @@
 //! * the ordering is as the theory predicts — the friendly policy is
 //!   never worse than the adversarial one.
 
-use crate::runner::{par_map, Run};
+use crate::runner::{self, par_map};
 use crate::RunOpts;
 use kanalysis::bounds::makespan_bounds;
 use kanalysis::report::ExperimentReport;
@@ -18,7 +18,7 @@ use kanalysis::stats::Summary;
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::SelectionPolicy;
-use ksim::Resources;
+use ksim::{Resources, SimConfig};
 use ktelemetry::json::Value;
 use kworkloads::mixes::{batched_mix, MixConfig};
 use kworkloads::rng_for;
@@ -27,10 +27,8 @@ fn measure(policy: SelectionPolicy, seed: u64, master: u64, k: usize, p: u32) ->
     let mut rng = rng_for(master ^ seed, 0x7A);
     let jobs = batched_mix(&mut rng, &MixConfig::new(k, 24, 32));
     let res = Resources::uniform(k, p);
-    let outcome = Run::new(SchedulerKind::KRad, &jobs, &res)
-        .policy(policy)
-        .seed(seed)
-        .go();
+    let sim_cfg = SimConfig::default().with_policy(policy).with_seed(seed);
+    let outcome = runner::run(SchedulerKind::KRad, &jobs, &res, &sim_cfg);
     let lb = makespan_bounds(&jobs, &res).lower_bound();
     (
         outcome.makespan as f64 / lb,

@@ -16,14 +16,14 @@
 //! exact desires, so staying under it here is an observation, not a
 //! theorem check).
 
-use crate::runner::par_map;
+use crate::runner::{self, par_map};
 use crate::RunOpts;
 use kanalysis::bounds::makespan_bounds;
 use kanalysis::report::ExperimentReport;
 use kanalysis::table::{f3, Table};
+use kbaselines::SchedulerKind;
 use kdag::SelectionPolicy;
-use krad::KRad;
-use ksim::{DesireModel, Resources, Simulation};
+use ksim::{DesireModel, Resources, SimConfig};
 use ktelemetry::json::Value;
 use kworkloads::mixes::{batched_mix, MixConfig};
 use kworkloads::rng_for;
@@ -54,16 +54,11 @@ fn measure(cfg: &Config, master: u64) -> Row {
     let mut rng = rng_for(master, 0x7B);
     let jobs = batched_mix(&mut rng, &MixConfig::new(k, 24, 40));
     let res = Resources::uniform(k, 6);
-    let sim = Simulation::builder()
-        .resources(res.clone())
-        .jobs(jobs.iter().cloned())
-        .policy(SelectionPolicy::Fifo)
-        .quantum(cfg.quantum)
-        .desire_model(cfg.model)
-        .build()
-        .expect("T11 workload matches the machine");
-    let mut sched = KRad::new(k);
-    let o = sim.run(&mut sched);
+    let sim_cfg = SimConfig::default()
+        .with_policy(SelectionPolicy::Fifo)
+        .with_quantum(cfg.quantum)
+        .with_desire_model(cfg.model);
+    let o = runner::run(SchedulerKind::KRad, &jobs, &res, &sim_cfg);
     let lb = makespan_bounds(&jobs, &res).lower_bound();
     Row {
         cfg: *cfg,

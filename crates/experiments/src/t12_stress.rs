@@ -12,7 +12,7 @@
 //!   (K-RAD, EQUI, RR) from the starvation-prone ones (LAS,
 //!   greedy-FCFS) once the burst piles jobs behind a heavy one.
 
-use crate::runner::{par_map, Run};
+use crate::runner::{self, par_map};
 use crate::RunOpts;
 use kanalysis::bounds::makespan_bounds;
 use kanalysis::report::ExperimentReport;
@@ -20,7 +20,7 @@ use kanalysis::stats::percentile;
 use kanalysis::svg::{LineChart, Series};
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
-use ksim::{JobSpec, Resources};
+use ksim::{JobSpec, Resources, SimConfig};
 use ktelemetry::json::Value;
 use kworkloads::heavy_tail::{bursty_releases, heavy_tail_mix, BurstyConfig};
 use kworkloads::rng_for;
@@ -57,9 +57,10 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
     let (jobs, res) = workload(opts.seed, n);
     let lb = makespan_bounds(&jobs, &res).lower_bound();
 
+    let sim_cfg = SimConfig::default().with_seed(opts.seed);
     let kinds: Vec<SchedulerKind> = SchedulerKind::ALL.to_vec();
     let rows: Vec<Row> = par_map(&kinds, |_, &kind| {
-        let o = Run::new(kind, &jobs, &res).seed(opts.seed).go();
+        let o = runner::run(kind, &jobs, &res, &sim_cfg);
         let mut responses: Vec<f64> = (0..o.job_count()).map(|i| o.response(i) as f64).collect();
         let p95 = percentile(&responses, 95.0);
         responses.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));

@@ -8,14 +8,14 @@
 //! table is the quick, human-readable summary and intentionally makes
 //! only order-of-magnitude claims.)
 
-use crate::runner::Run;
+use crate::runner;
 use crate::RunOpts;
 use kanalysis::report::ExperimentReport;
 use kanalysis::table::Table;
 use kbaselines::SchedulerKind;
 use kdag::generators::{phased, PhaseSpec};
 use kdag::Category;
-use ksim::{JobSpec, Resources};
+use ksim::{JobSpec, Resources, SimConfig};
 use ktelemetry::json::Value;
 use std::time::Instant;
 
@@ -42,12 +42,13 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
     } else {
         &[64, 256, 1024]
     };
+    let sim_cfg = SimConfig::default().with_seed(opts.seed);
     let mut rows = Vec::new();
     for &n in sizes {
         let (jobs, res) = workload(n);
         for kind in SchedulerKind::ALL {
             let started = Instant::now();
-            let o = Run::new(kind, &jobs, &res).seed(opts.seed).go();
+            let o = runner::run(kind, &jobs, &res, &sim_cfg);
             let elapsed = started.elapsed();
             rows.push(Row {
                 kind,

@@ -16,14 +16,14 @@
 //!   every step — the tail starves, exactly the failure K-RAD's cycle
 //!   repairs.
 
-use crate::runner::Run;
+use crate::runner;
 use crate::RunOpts;
 use kanalysis::report::ExperimentReport;
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::generators::{phased, PhaseSpec};
 use kdag::Category;
-use ksim::{JobSpec, Resources};
+use ksim::{JobSpec, Resources, SimConfig};
 use ktelemetry::json::Value;
 
 struct Case {
@@ -91,12 +91,11 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
             "resp spread",
         ],
     );
+    let sim_cfg = SimConfig::default().with_seed(opts.seed);
     let mut measured = Vec::new();
     for case in &cases {
         for kind in kinds {
-            let o = Run::new(kind, &case.jobs, &case.resources)
-                .seed(opts.seed)
-                .go();
+            let o = runner::run(kind, &case.jobs, &case.resources, &sim_cfg);
             let min_resp = (0..o.job_count()).map(|i| o.response(i)).min().unwrap();
             let spread = o.max_response() - min_resp;
             table.row_owned(vec![

@@ -8,13 +8,14 @@
 //! below as `m` grows (and must never exceed it, since K-RAD is also
 //! `(K + 1 − 1/Pmax)`-competitive by Theorem 3).
 
-use crate::runner::{par_map, Run};
+use crate::runner::{self, par_map};
 use crate::RunOpts;
 use kanalysis::report::ExperimentReport;
 use kanalysis::svg::{LineChart, Series};
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::SelectionPolicy;
+use ksim::SimConfig;
 use ktelemetry::json::Value;
 use kworkloads::adversarial::adversarial_workload;
 
@@ -40,10 +41,10 @@ struct Row {
 fn measure(point: &Point, seed: u64) -> Row {
     let p_vec = vec![point.p; point.k];
     let w = adversarial_workload(&p_vec, point.m);
-    let outcome = Run::new(SchedulerKind::KRad, &w.jobs, &w.resources)
-        .policy(SelectionPolicy::CriticalLast)
-        .seed(seed)
-        .go();
+    let sim_cfg = SimConfig::default()
+        .with_policy(SelectionPolicy::CriticalLast)
+        .with_seed(seed);
+    let outcome = runner::run(SchedulerKind::KRad, &w.jobs, &w.resources, &sim_cfg);
     // A clairvoyant critical-path-first scheduler defeats the
     // adversary: its feasible makespan certifies T* from above.
     let clairvoyant = kanalysis::offline::clairvoyant_cp(&w.jobs, &w.resources).makespan;

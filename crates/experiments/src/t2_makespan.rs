@@ -7,7 +7,7 @@
 //! must stay below `K + 1 − 1/Pmax` — even under the adversarial
 //! critical-path-last environment, which we use to stress the bound.
 
-use crate::runner::{par_map, Run};
+use crate::runner::{self, par_map};
 use crate::RunOpts;
 use kanalysis::bounds::makespan_bounds;
 use kanalysis::report::ExperimentReport;
@@ -15,7 +15,7 @@ use kanalysis::stats::Summary;
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::SelectionPolicy;
-use ksim::Resources;
+use ksim::{Resources, SimConfig};
 use ktelemetry::json::Value;
 use kworkloads::arrivals::poisson_releases;
 use kworkloads::mixes::{batched_mix, MixConfig};
@@ -40,10 +40,10 @@ fn measure(cfg: &Config, seed: u64, master: u64) -> (f64, f64) {
         poisson_releases(&mut jobs, &mut rng, 0.2);
     }
     let res = Resources::uniform(cfg.k, cfg.p);
-    let outcome = Run::new(SchedulerKind::KRad, &jobs, &res)
-        .policy(SelectionPolicy::CriticalLast)
-        .seed(seed)
-        .go();
+    let sim_cfg = SimConfig::default()
+        .with_policy(SelectionPolicy::CriticalLast)
+        .with_seed(seed);
+    let outcome = runner::run(SchedulerKind::KRad, &jobs, &res, &sim_cfg);
     let lb = makespan_bounds(&jobs, &res).lower_bound();
     let t_cp = kanalysis::offline::clairvoyant_cp(&jobs, &res).makespan;
     (

@@ -7,14 +7,14 @@
 //! optimum — both sides are computed exactly, so it is the sharpest
 //! possible check of the makespan analysis.
 
-use crate::runner::{par_map, Run};
+use crate::runner::{self, par_map};
 use crate::RunOpts;
 use kanalysis::bounds::lemma2_rhs;
 use kanalysis::report::ExperimentReport;
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::SelectionPolicy;
-use ksim::Resources;
+use ksim::{Resources, SimConfig};
 use ktelemetry::json::Value;
 use kworkloads::mixes::{batched_mix, MixConfig};
 use kworkloads::rng_for;
@@ -40,10 +40,10 @@ fn measure(cfg: &Config, master: u64) -> Row {
     let mut rng = rng_for(master ^ cfg.seed, 0x73);
     let jobs = batched_mix(&mut rng, &mix);
     let res = Resources::new(cfg.p.clone());
-    let outcome = Run::new(SchedulerKind::KRad, &jobs, &res)
-        .policy(cfg.policy)
-        .seed(cfg.seed)
-        .go();
+    let sim_cfg = SimConfig::default()
+        .with_policy(cfg.policy)
+        .with_seed(cfg.seed);
+    let outcome = runner::run(SchedulerKind::KRad, &jobs, &res, &sim_cfg);
     Row {
         cfg: cfg.clone(),
         makespan: outcome.makespan,

@@ -9,14 +9,14 @@
 //! 2. the competitive form: `R(J) / LB ≤ 2K + 1 − 2K/(n+1)`, with
 //!    `LB = max(T∞(J), maxα swa(J, α))` the §6 lower bound.
 
-use crate::runner::{par_map, Run};
+use crate::runner::{self, par_map};
 use crate::RunOpts;
 use kanalysis::bounds::{response_bounds, theorem5_rhs};
 use kanalysis::report::ExperimentReport;
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::SelectionPolicy;
-use ksim::Resources;
+use ksim::{Resources, SimConfig};
 use ktelemetry::json::Value;
 use kworkloads::mixes::{batched_mix, MixConfig};
 use kworkloads::rng_for;
@@ -43,10 +43,10 @@ fn measure(cfg: &Config, master: u64) -> Row {
     let mut rng = rng_for(master ^ cfg.seed, 0x74);
     let jobs = batched_mix(&mut rng, &mix);
     let res = Resources::uniform(cfg.k, cfg.p);
-    let outcome = Run::new(SchedulerKind::KRad, &jobs, &res)
-        .policy(cfg.policy)
-        .seed(cfg.seed)
-        .go();
+    let sim_cfg = SimConfig::default()
+        .with_policy(cfg.policy)
+        .with_seed(cfg.seed);
+    let outcome = runner::run(SchedulerKind::KRad, &jobs, &res, &sim_cfg);
     let rb = response_bounds(&jobs, &res);
     let total = outcome.total_response();
     Row {

@@ -6,7 +6,7 @@
 //! bound `LB = max(T∞(J), maxα swa(J, α)) ≤ R*(J)`, which makes the
 //! measured ratio an upper bound on the true competitive ratio.
 
-use crate::runner::{par_map, Run};
+use crate::runner::{self, par_map};
 use crate::RunOpts;
 use kanalysis::bounds::response_bounds;
 use kanalysis::report::ExperimentReport;
@@ -14,7 +14,7 @@ use kanalysis::stats::Summary;
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::SelectionPolicy;
-use ksim::Resources;
+use ksim::{Resources, SimConfig};
 use ktelemetry::json::Value;
 use kworkloads::mixes::{batched_mix, MixConfig};
 use kworkloads::rng_for;
@@ -32,10 +32,10 @@ fn measure(cfg: &Config, seed: u64, master: u64) -> f64 {
     let mut rng = rng_for(master ^ seed, 0x75);
     let jobs = batched_mix(&mut rng, &mix);
     let res = Resources::uniform(cfg.k, cfg.p);
-    let outcome = Run::new(SchedulerKind::KRad, &jobs, &res)
-        .policy(SelectionPolicy::CriticalLast)
-        .seed(seed)
-        .go();
+    let sim_cfg = SimConfig::default()
+        .with_policy(SelectionPolicy::CriticalLast)
+        .with_seed(seed);
+    let outcome = runner::run(SchedulerKind::KRad, &jobs, &res, &sim_cfg);
     outcome.total_response() as f64 / response_bounds(&jobs, &res).lower_bound()
 }
 

@@ -7,7 +7,7 @@
 //! same batched suites and compare measured `R / LB` ratios against
 //! both reference constants.
 
-use crate::runner::{par_map, Run};
+use crate::runner::{self, par_map};
 use crate::RunOpts;
 use kanalysis::bounds::response_bounds;
 use kanalysis::report::ExperimentReport;
@@ -15,7 +15,7 @@ use kanalysis::stats::Summary;
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::SelectionPolicy;
-use ksim::Resources;
+use ksim::{Resources, SimConfig};
 use ktelemetry::json::Value;
 use kworkloads::mixes::{batched_mix, MixConfig};
 use kworkloads::rng_for;
@@ -33,10 +33,10 @@ fn measure(cfg: &Config, seed: u64, master: u64) -> f64 {
     let mut rng = rng_for(master ^ seed, 0x76);
     let jobs = batched_mix(&mut rng, &mix);
     let res = Resources::uniform(1, cfg.p);
-    let outcome = Run::new(cfg.kind, &jobs, &res)
-        .policy(SelectionPolicy::CriticalLast)
-        .seed(seed)
-        .go();
+    let sim_cfg = SimConfig::default()
+        .with_policy(SelectionPolicy::CriticalLast)
+        .with_seed(seed);
+    let outcome = runner::run(cfg.kind, &jobs, &res, &sim_cfg);
     outcome.total_response() as f64 / response_bounds(&jobs, &res).lower_bound()
 }
 

@@ -9,13 +9,14 @@
 //! (span dilation), greedy/DEQ-only on response-time fairness, EQUI on
 //! utilization.
 
-use crate::runner::{par_map, Run};
+use crate::runner::{self, par_map};
 use crate::RunOpts;
 use kanalysis::bounds::makespan_bounds;
 use kanalysis::report::ExperimentReport;
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::Category;
+use ksim::SimConfig;
 use ktelemetry::json::Value;
 use kworkloads::rng_for;
 use kworkloads::scenarios::standard_suite;
@@ -38,9 +39,10 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
         .flat_map(|i| SchedulerKind::ALL.into_iter().map(move |k| (i, k)))
         .collect();
 
+    let sim_cfg = SimConfig::default().with_seed(opts.seed);
     let rows: Vec<Row> = par_map(&work, |_, &(i, kind)| {
         let sc = &scenarios[i];
-        let outcome = Run::new(kind, &sc.jobs, &sc.resources).seed(opts.seed).go();
+        let outcome = runner::run(kind, &sc.jobs, &sc.resources, &sim_cfg);
         let lb = makespan_bounds(&sc.jobs, &sc.resources).lower_bound();
         let min_util = Category::all(sc.resources.k())
             .map(|c| outcome.utilization(c, &sc.resources))

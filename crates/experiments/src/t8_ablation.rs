@@ -10,14 +10,14 @@
 //!   no rotation) feeds the same front-runners every step, starving the
 //!   tail: its *max* response explodes relative to RAD's.
 
-use crate::runner::Run;
+use crate::runner;
 use crate::RunOpts;
 use kanalysis::report::ExperimentReport;
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::generators::{fork_join, phased, PhaseSpec};
 use kdag::Category;
-use ksim::{JobSpec, Resources};
+use ksim::{JobSpec, Resources, SimConfig};
 use ktelemetry::json::Value;
 
 struct Case {
@@ -61,12 +61,11 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
         "T8 — ablation: RAD = DEQ (space sharing) + RR (time sharing)",
         &["case", "scheduler", "makespan", "mean resp", "max resp"],
     );
+    let sim_cfg = SimConfig::default().with_seed(opts.seed);
     let mut measured = Vec::new();
     for case in &cases {
         for kind in kinds {
-            let o = Run::new(kind, &case.jobs, &case.resources)
-                .seed(opts.seed)
-                .go();
+            let o = runner::run(kind, &case.jobs, &case.resources, &sim_cfg);
             table.row_owned(vec![
                 case.label.to_string(),
                 kind.label().to_string(),

@@ -13,14 +13,14 @@
 //! K-RAD's makespan and Lemma 2 are checked against the *effective*
 //! bounds on each.
 
-use crate::runner::{par_map, Run};
+use crate::runner::{self, par_map};
 use crate::RunOpts;
 use kanalysis::bounds::{lemma2_rhs, makespan_bounds};
 use kanalysis::report::ExperimentReport;
 use kanalysis::table::{f3, Table};
 use kbaselines::SchedulerKind;
 use kdag::SelectionPolicy;
-use ksim::Resources;
+use ksim::{Resources, SimConfig};
 use ktelemetry::json::Value;
 use kworkloads::mixes::{batched_mix, MixConfig};
 use kworkloads::rng_for;
@@ -46,10 +46,10 @@ fn measure(machine: &Machine, seed: u64, master: u64) -> Row {
     let k = res.k();
     let mut rng = rng_for(master ^ seed, 0x79);
     let jobs = batched_mix(&mut rng, &MixConfig::new(k, 24, 32));
-    let outcome = Run::new(SchedulerKind::KRad, &jobs, &res)
-        .policy(SelectionPolicy::CriticalLast)
-        .seed(seed)
-        .go();
+    let sim_cfg = SimConfig::default()
+        .with_policy(SelectionPolicy::CriticalLast)
+        .with_seed(seed);
+    let outcome = runner::run(SchedulerKind::KRad, &jobs, &res, &sim_cfg);
     let lb = makespan_bounds(&jobs, &res).lower_bound();
     let rhs = lemma2_rhs(&jobs, &res);
     Row {

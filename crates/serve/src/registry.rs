@@ -882,17 +882,15 @@ pub(crate) fn create_session(
         .with_seed(cfg.seed)
         .with_quantum(cfg.quantum)
         .with_time_policy(cfg.time_policy)
-        .with_telemetry(tel.clone())
+        .with_telemetry(tel)
         .with_spans(spans.clone());
-    let mut live = LiveSimulation::new(res, sim_cfg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
     // The scheduler is built here (not in the worker) so a journal
     // recovery replays through the *same* instance that then keeps
     // serving — its internal state (RAD marks, RR cursors, RNG) is
     // part of the determinism argument.
-    let mut scheduler =
-        cfg.scheduler
-            .build_observed(live.resources().k(), cfg.seed, tel, spans.clone());
+    let mut scheduler = cfg.scheduler.build(res.k(), cfg.seed, &sim_cfg);
+    let mut live = LiveSimulation::new(res, sim_cfg)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
 
     match recovered {
         Some(rec) => {

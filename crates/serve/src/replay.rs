@@ -17,7 +17,7 @@ use kbaselines::SchedulerKind;
 use kdag::{DagSpec, SelectionPolicy};
 use ksim::{simulate, JobSpec, Resources, SimConfig, SimOutcome, Time};
 use ktelemetry::json::{self, need_arr, need_str, need_u64, Value};
-use ktelemetry::{SpanRecorder, TelemetryHandle};
+use ktelemetry::TelemetryHandle;
 
 /// One recorded arrival: the DAG and the virtual release time the
 /// server assigned at injection.
@@ -169,10 +169,8 @@ impl SessionTrace {
             .with_policy(self.policy)
             .with_seed(self.seed)
             .with_quantum(self.quantum)
-            .with_telemetry(tel.clone());
-        let mut sched = self
-            .scheduler
-            .build_observed(res.k(), self.seed, tel, SpanRecorder::off());
+            .with_telemetry(tel);
+        let mut sched = self.scheduler.build(res.k(), self.seed, &cfg);
         Ok(simulate(sched.as_mut(), &jobs, &res, &cfg))
     }
 

@@ -112,9 +112,9 @@ impl std::fmt::Display for TimePolicy {
 
 /// Engine configuration.
 ///
-/// Non-exhaustive: construct via [`SimConfig::default`] (mutating the
-/// public fields) or [`SimConfig::builder`]; future knobs can then be
-/// added without breaking callers.
+/// Non-exhaustive: construct via [`SimConfig::default`] and the
+/// chainable `with_*` setters (or mutate the public fields); future
+/// knobs can then be added without breaking callers.
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct SimConfig {
@@ -252,108 +252,104 @@ impl SimConfig {
         self.time_policy = time_policy;
         self
     }
+}
 
-    /// A builder over the default configuration, mirroring
-    /// [`crate::Simulation::builder`]'s knob names.
-    ///
-    /// ```
-    /// use ksim::{SimConfig, TimePolicy};
-    /// let cfg = SimConfig::builder()
-    ///     .quantum(4)
-    ///     .time_policy(TimePolicy::EventDriven)
-    ///     .record_trace(true)
-    ///     .build();
-    /// assert_eq!(cfg.quantum, 4);
-    /// assert_eq!(cfg.time_policy, TimePolicy::EventDriven);
-    /// ```
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder {
-            cfg: SimConfig::default(),
+/// Why a run's inputs were refused: by [`check`] before a run, or by
+/// [`LiveSimulation::inject`] mid-run.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SimError {
+    /// A job's DAG disagrees with the machine on the number of
+    /// processor categories.
+    CategoryMismatch {
+        /// Index of the offending job.
+        job: usize,
+        /// `K` of the job's DAG.
+        dag_k: usize,
+        /// `K` of the machine.
+        machine_k: usize,
+    },
+    /// The scheduling quantum was 0 (must be ≥ 1).
+    ZeroQuantum,
+    /// The A-Greedy utilization threshold `δ` is outside `[0, 1]` (or
+    /// NaN).
+    FeedbackDelta {
+        /// The offending `δ`.
+        delta: f64,
+    },
+    /// The release time is before the engine's current virtual time —
+    /// accepting it would diverge from the offline replay.
+    ReleaseInPast {
+        /// The offending release time.
+        release: Time,
+        /// The engine's current virtual time.
+        now: Time,
+    },
+}
+
+impl std::fmt::Display for SimError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SimError::CategoryMismatch {
+                job,
+                dag_k,
+                machine_k,
+            } => write!(
+                f,
+                "job {job}: DAG has {dag_k} categories but machine has {machine_k}"
+            ),
+            SimError::ZeroQuantum => write!(f, "quantum must be at least 1"),
+            SimError::FeedbackDelta { delta } => {
+                write!(f, "A-Greedy delta must be in [0, 1], got {delta}")
+            }
+            SimError::ReleaseInPast { release, now } => {
+                write!(f, "release {release} is before the current time {now}")
+            }
         }
     }
 }
 
-/// Builder for [`SimConfig`], created by [`SimConfig::builder`].
+impl std::error::Error for SimError {}
+
+/// Check a run's inputs the way [`simulate`] and [`LiveSimulation`]
+/// do: `q ≥ 1`, an A-Greedy `δ` in `[0, 1]`, and every job's `K`
+/// equal to the machine's.
 ///
-/// Knob names mirror [`crate::SimulationBuilder`]; `build()` is
-/// infallible — structural validation (e.g. the `q ≥ 1` contract)
-/// happens where the config meets jobs and a machine, exactly as with
-/// a field-mutated config.
-#[derive(Clone, Debug, Default)]
-pub struct SimConfigBuilder {
-    cfg: SimConfig,
+/// ```
+/// use kdag::{generators::chain, Category};
+/// use ksim::{check, JobSpec, Resources, SimConfig, SimError};
+/// let jobs = vec![JobSpec::batched(chain(2, 3, &[Category(0), Category(1)]))];
+/// let cfg = SimConfig::default();
+/// assert_eq!(check(&jobs, &Resources::uniform(2, 4), &cfg), Ok(()));
+/// assert_eq!(
+///     check(&jobs, &Resources::uniform(3, 4), &cfg),
+///     Err(SimError::CategoryMismatch { job: 0, dag_k: 2, machine_k: 3 })
+/// );
+/// ```
+pub fn check(jobs: &[JobSpec], res: &Resources, cfg: &SimConfig) -> Result<(), SimError> {
+    if cfg.quantum == 0 {
+        return Err(SimError::ZeroQuantum);
+    }
+    if let DesireModel::AGreedy { delta } = cfg.desire_model {
+        if !(0.0..=1.0).contains(&delta) {
+            return Err(SimError::FeedbackDelta { delta });
+        }
+    }
+    jobs.iter()
+        .enumerate()
+        .try_for_each(|(i, j)| check_job(i, j, res.k()))
 }
 
-impl SimConfigBuilder {
-    /// Set the [`SelectionPolicy`].
-    pub fn policy(mut self, policy: SelectionPolicy) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Set the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Set the scheduling quantum `q ≥ 1`.
-    pub fn quantum(mut self, quantum: u64) -> Self {
-        self.cfg.quantum = quantum;
-        self
-    }
-
-    /// Set the [`DesireModel`].
-    pub fn desire_model(mut self, model: DesireModel) -> Self {
-        self.cfg.desire_model = model;
-        self
-    }
-
-    /// Enable/disable per-step [`crate::StepTrace`] recording.
-    pub fn record_trace(mut self, record: bool) -> Self {
-        self.cfg.record_trace = record;
-        self
-    }
-
-    /// Enable/disable full-schedule recording.
-    pub fn record_schedule(mut self, record: bool) -> Self {
-        self.cfg.record_schedule = record;
-        self
-    }
-
-    /// Set the stall limit.
-    pub fn stall_limit(mut self, limit: u64) -> Self {
-        self.cfg.stall_limit = limit;
-        self
-    }
-
-    /// Set the step cap.
-    pub fn max_steps(mut self, max_steps: u64) -> Self {
-        self.cfg.max_steps = max_steps;
-        self
-    }
-
-    /// Wire a [`TelemetryHandle`] into the engine.
-    pub fn telemetry(mut self, telemetry: TelemetryHandle) -> Self {
-        self.cfg.telemetry = telemetry;
-        self
-    }
-
-    /// Wire a [`SpanRecorder`] into the engine.
-    pub fn spans(mut self, spans: SpanRecorder) -> Self {
-        self.cfg.spans = spans;
-        self
-    }
-
-    /// Set the [`TimePolicy`].
-    pub fn time_policy(mut self, time_policy: TimePolicy) -> Self {
-        self.cfg.time_policy = time_policy;
-        self
-    }
-
-    /// Finish the configuration.
-    pub fn build(self) -> SimConfig {
-        self.cfg
+/// The per-job half of [`check`], shared with
+/// [`LiveSimulation::inject`].
+pub(crate) fn check_job(job: usize, spec: &JobSpec, machine_k: usize) -> Result<(), SimError> {
+    if spec.dag.k() == machine_k {
+        Ok(())
+    } else {
+        Err(SimError::CategoryMismatch {
+            job,
+            dag_k: spec.dag.k(),
+            machine_k,
+        })
     }
 }
 
@@ -380,10 +376,20 @@ impl SimConfigBuilder {
 /// * idle intervals (no active jobs, future releases pending) are
 ///   fast-forwarded.
 ///
+/// Since the live-engine refactor this is a thin driver over
+/// [`LiveSimulation`]: it injects every job up front and steps to
+/// completion, so the batch and online paths execute the *same* step
+/// loop (the replay-bridge guarantee the `kserve` daemon relies on).
+/// The step loop holds flat preallocated state and performs no
+/// steady-state heap allocation; see [`crate::live`] for the
+/// data-structure notes.
+///
 /// # Panics
-/// Panics if a job's DAG has a different `K` than the machine, if the
-/// scheduler over-allots a category, if the scheduler stalls for more
-/// than [`SimConfig::stall_limit`] consecutive steps, or if
+/// Panics with the [`SimError`] message if [`check`] refuses the
+/// inputs (a job's `K` differs from the machine's, `q = 0`, or an
+/// A-Greedy `δ` outside `[0, 1]`), if the scheduler over-allots a
+/// category, if the scheduler stalls for more than
+/// [`SimConfig::stall_limit`] consecutive steps, or if
 /// [`SimConfig::max_steps`] is exceeded.
 pub fn simulate(
     scheduler: &mut dyn Scheduler,
@@ -391,31 +397,9 @@ pub fn simulate(
     res: &Resources,
     cfg: &SimConfig,
 ) -> SimOutcome {
-    // Thin shim over the builder-first entry point; new code should use
-    // [`crate::Simulation::builder`] directly. Shares the builder's
-    // validation but borrows `jobs`/`res` as-is — no clones.
-    if let Err(e) = crate::session::validate(jobs, res, cfg) {
+    if let Err(e) = check(jobs, res, cfg) {
         panic!("{e}");
     }
-    run_engine(scheduler, jobs, res, cfg)
-}
-
-/// The engine proper: one run of `jobs` on `res` under `scheduler`.
-///
-/// Callers ([`crate::Simulation`] and the [`simulate`] shim) have
-/// already validated the job/machine shapes. Since the live-engine
-/// refactor this is a thin driver over [`LiveSimulation`] — it injects
-/// every job up front and steps to completion, so the batch and online
-/// paths execute the *same* step loop (the replay-bridge guarantee the
-/// `kserve` daemon relies on). The step loop itself holds flat
-/// preallocated state and performs no steady-state heap allocation;
-/// see [`crate::live`] for the data-structure notes.
-pub(crate) fn run_engine(
-    scheduler: &mut dyn Scheduler,
-    jobs: &[JobSpec],
-    res: &Resources,
-    cfg: &SimConfig,
-) -> SimOutcome {
     let tel = cfg.telemetry.clone();
     tel.emit(|| TelemetryEvent::RunStart {
         scheduler: scheduler.name().to_string(),
@@ -423,12 +407,11 @@ pub(crate) fn run_engine(
         categories: res.k() as u16,
     });
 
-    let mut live = LiveSimulation::new(res.clone(), cfg.clone())
-        .unwrap_or_else(|e| panic!("invalid engine configuration: {e}"));
+    let mut live = LiveSimulation::new(res.clone(), cfg.clone()).expect("checked above");
     live.reserve(jobs.len());
     for j in jobs {
-        // Shape validation already ran; a mismatch here is a caller bug.
-        live.inject(j.clone()).unwrap_or_else(|e| panic!("{e}"));
+        live.inject(j.clone())
+            .expect("checked above; no release precedes t = 0");
     }
     match cfg.time_policy {
         TimePolicy::UnitStep => {
@@ -450,6 +433,7 @@ pub(crate) fn run_engine(
     });
     live.into_outcome(scheduler.name())
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -775,6 +759,98 @@ mod tests {
         let jobs = vec![JobSpec::batched(diamond())]; // K = 2
         let res = Resources::uniform(3, 4);
         simulate(&mut GreedyAll, &jobs, &res, &SimConfig::default());
+    }
+
+    #[test]
+    fn check_names_the_offending_input() {
+        let res = Resources::uniform(2, 4);
+        let mut b = DagBuilder::new(3);
+        b.add_task(Category(0));
+        let jobs = vec![
+            JobSpec::batched(diamond()),
+            JobSpec::batched(b.build().unwrap()),
+        ];
+        let err = check(&jobs, &res, &SimConfig::default()).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::CategoryMismatch {
+                job: 1,
+                dag_k: 3,
+                machine_k: 2
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "job 1: DAG has 3 categories but machine has 2"
+        );
+        assert_eq!(check(&jobs[..1], &res, &SimConfig::default()), Ok(()));
+
+        let err = check(&[], &res, &SimConfig::default().with_quantum(0)).unwrap_err();
+        assert_eq!(err, SimError::ZeroQuantum);
+        assert_eq!(err.to_string(), "quantum must be at least 1");
+    }
+
+    #[test]
+    fn check_bounds_the_feedback_delta() {
+        let res = Resources::uniform(2, 4);
+        let with_delta =
+            |delta| SimConfig::default().with_desire_model(DesireModel::AGreedy { delta });
+        for ok in [0.0, 0.8, 1.0] {
+            assert_eq!(check(&[], &res, &with_delta(ok)), Ok(()), "δ = {ok}");
+            assert!(LiveSimulation::new(res.clone(), with_delta(ok)).is_ok());
+        }
+        for bad in [1.5, -0.1, f64::NAN, f64::INFINITY] {
+            let err = check(&[], &res, &with_delta(bad)).unwrap_err();
+            assert!(matches!(err, SimError::FeedbackDelta { .. }), "δ = {bad}");
+            assert!(err
+                .to_string()
+                .starts_with("A-Greedy delta must be in [0, 1]"));
+            assert!(matches!(
+                LiveSimulation::new(res.clone(), with_delta(bad)),
+                Err(SimError::FeedbackDelta { .. })
+            ));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "A-Greedy delta must be in [0, 1]")]
+    fn simulate_panics_on_a_bad_feedback_delta() {
+        let jobs = vec![JobSpec::batched(diamond())];
+        let cfg = SimConfig::default().with_desire_model(DesireModel::AGreedy { delta: 1.5 });
+        simulate(&mut GreedyAll, &jobs, &Resources::uniform(2, 4), &cfg);
+    }
+
+    #[test]
+    fn config_knobs_reach_the_run_and_repeat_runs_agree() {
+        let jobs = vec![
+            JobSpec::batched(diamond()),
+            JobSpec::released(diamond(), 10),
+        ];
+        let res = Resources::uniform(2, 4);
+        let cfg = SimConfig::default()
+            .with_policy(SelectionPolicy::Lifo)
+            .with_seed(7);
+        let a = simulate(&mut GreedyAll, &jobs, &res, &cfg);
+        assert_eq!(a.completions, vec![3, 13]);
+        let b = simulate(&mut GreedyAll, &jobs, &res, &cfg);
+        assert_eq!(a.makespan, b.makespan);
+        assert_eq!(a.completions, b.completions);
+        assert_eq!(a.preemptions, b.preemptions);
+    }
+
+    #[test]
+    fn spans_wire_a_phase_profiler() {
+        use ktelemetry::SpanKind;
+        let spans = SpanRecorder::profiler();
+        let jobs = vec![JobSpec::batched(diamond())];
+        let cfg = SimConfig::default().with_spans(spans.clone());
+        simulate(&mut GreedyAll, &jobs, &Resources::uniform(2, 4), &cfg);
+        // Quantum 1 → ready/decide/execute once per busy step (3 for
+        // the diamond), and the profile snapshot covers every kind.
+        assert_eq!(spans.count(SpanKind::Ready), 3);
+        assert_eq!(spans.count(SpanKind::Decide), 3);
+        assert_eq!(spans.count(SpanKind::Execute), 3);
+        assert_eq!(spans.profile().unwrap().len(), SpanKind::COUNT);
     }
 
     #[test]

@@ -41,7 +41,6 @@ mod engine;
 mod outcome;
 mod resources;
 mod scheduler;
-mod session;
 mod trace;
 mod view;
 
@@ -50,12 +49,11 @@ pub mod live;
 pub mod snapshot;
 
 pub use allot::AllotmentMatrix;
-pub use engine::{simulate, DesireModel, JobSpec, SimConfig, SimConfigBuilder, TimePolicy};
-pub use live::{InjectError, LiveSimulation, QuantumReport};
+pub use engine::{check, simulate, DesireModel, JobSpec, SimConfig, SimError, TimePolicy};
+pub use live::{LiveSimulation, QuantumReport};
 pub use outcome::SimOutcome;
 pub use resources::Resources;
 pub use scheduler::Scheduler;
-pub use session::{BuildError, Simulation, SimulationBuilder};
 pub use snapshot::EngineSnapshot;
 pub use trace::StepTrace;
 pub use view::JobView;

@@ -2,7 +2,7 @@
 //! step at a time while new jobs are injected mid-run.
 //!
 //! [`LiveSimulation`] is the *same* engine the batch [`crate::simulate`]
-//! path runs — `run_engine` is a thin driver that injects every job up
+//! path runs — `simulate` is a thin driver that injects every job up
 //! front and steps to completion. A long-running service (the `kserve`
 //! daemon) instead injects jobs as they arrive over the wire and
 //! advances virtual time quantum by quantum. Because both paths execute
@@ -14,7 +14,7 @@
 //! ## Invariants for online injection
 //!
 //! * A job may only be injected with `release >= now()` — the engine
-//!   cannot rewrite history ([`InjectError::ReleaseInPast`]).
+//!   cannot rewrite history ([`SimError::ReleaseInPast`]).
 //! * Injection order is the job-index order; the offline replay must
 //!   present the same jobs in the same order with the same releases.
 //! * Virtual time is work-conserving: it only advances while jobs are
@@ -23,61 +23,16 @@
 //!   steps and leaves no trace in the canonical arrival record.
 
 use crate::checker::{ExecRecord, RecordedSchedule};
-use crate::session::BuildError;
 use crate::{
-    AllotmentMatrix, DesireModel, JobSpec, JobView, Resources, Scheduler, SimConfig, SimOutcome,
-    StepTrace, Time, TimePolicy,
+    AllotmentMatrix, DesireModel, JobSpec, JobView, Resources, Scheduler, SimConfig, SimError,
+    SimOutcome, StepTrace, Time, TimePolicy,
 };
 use kdag::rng::StdRng;
 use kdag::{Category, ExecutionState, JobId, TaskId};
 use ktelemetry::{SpanKind, TelemetryEvent, TelemetryHandle};
-use std::fmt;
 
 /// Cap on A-Greedy estimates (doubling is otherwise unbounded).
 const EST_CAP: u32 = 1 << 20;
-
-/// Why [`LiveSimulation::inject`] refused a job.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum InjectError {
-    /// The job's DAG disagrees with the machine on the number of
-    /// processor categories.
-    CategoryMismatch {
-        /// Index the job would have received.
-        job: usize,
-        /// `K` of the job's DAG.
-        dag_k: usize,
-        /// `K` of the machine.
-        machine_k: usize,
-    },
-    /// The release time is before the engine's current virtual time —
-    /// accepting it would diverge from the offline replay.
-    ReleaseInPast {
-        /// The offending release time.
-        release: Time,
-        /// The engine's current virtual time.
-        now: Time,
-    },
-}
-
-impl fmt::Display for InjectError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InjectError::CategoryMismatch {
-                job,
-                dag_k,
-                machine_k,
-            } => write!(
-                f,
-                "job {job}: DAG has {dag_k} categories but machine has {machine_k}"
-            ),
-            InjectError::ReleaseInPast { release, now } => {
-                write!(f, "release {release} is before the current time {now}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for InjectError {}
 
 /// What one [`LiveSimulation::advance`] (or
 /// [`LiveSimulation::run_until`]) call did — the typed report of time
@@ -217,23 +172,16 @@ pub struct LiveSimulation {
 impl LiveSimulation {
     /// An empty live simulation on machine `res` under `cfg`.
     ///
-    /// Fails with [`BuildError::ZeroQuantum`] if `cfg.quantum == 0`.
-    ///
-    /// # Panics
-    /// Panics if an [`DesireModel::AGreedy`] delta is outside `[0, 1]`
-    /// (a configuration bug, same as the batch path).
-    pub fn new(res: Resources, cfg: SimConfig) -> Result<LiveSimulation, BuildError> {
-        crate::session::validate(&[], &res, &cfg)?;
+    /// Fails as [`crate::check`] does on `cfg`: with
+    /// [`SimError::ZeroQuantum`] if `cfg.quantum == 0`, or with
+    /// [`SimError::FeedbackDelta`] if an A-Greedy `δ` is outside
+    /// `[0, 1]`.
+    pub fn new(res: Resources, cfg: SimConfig) -> Result<LiveSimulation, SimError> {
+        crate::check(&[], &res, &cfg)?;
         let k = res.k();
         let feedback_delta = match cfg.desire_model {
             DesireModel::Exact => None,
-            DesireModel::AGreedy { delta } => {
-                assert!(
-                    (0.0..=1.0).contains(&delta),
-                    "A-Greedy delta must be in [0, 1]"
-                );
-                Some(delta)
-            }
+            DesireModel::AGreedy { delta } => Some(delta),
         };
         let rng = StdRng::seed_from_u64(cfg.seed);
         let tel = cfg.telemetry.clone();
@@ -307,17 +255,11 @@ impl LiveSimulation {
     ///
     /// The job becomes visible to the scheduler at step `release + 1`;
     /// `release` must be at or after [`now`](LiveSimulation::now).
-    pub fn inject(&mut self, spec: JobSpec) -> Result<usize, InjectError> {
+    pub fn inject(&mut self, spec: JobSpec) -> Result<usize, SimError> {
         let idx = self.jobs.len();
-        if spec.dag.k() != self.k {
-            return Err(InjectError::CategoryMismatch {
-                job: idx,
-                dag_k: spec.dag.k(),
-                machine_k: self.k,
-            });
-        }
+        crate::engine::check_job(idx, &spec, self.k)?;
         if spec.release < self.t {
-            return Err(InjectError::ReleaseInPast {
+            return Err(SimError::ReleaseInPast {
                 release: spec.release,
                 now: self.t,
             });
@@ -1410,10 +1352,9 @@ mod tests {
 
     #[test]
     fn next_event_and_run_until_walk_the_horizon() {
-        let cfg = SimConfig::builder()
-            .quantum(5)
-            .time_policy(TimePolicy::EventDriven)
-            .build();
+        let cfg = SimConfig::default()
+            .with_quantum(5)
+            .with_time_policy(TimePolicy::EventDriven);
         let mut live = LiveSimulation::new(Resources::uniform(1, 2), cfg).unwrap();
         let flat = |n: usize| {
             let mut b = DagBuilder::new(1);
@@ -1453,14 +1394,14 @@ mod tests {
         live.advance(&mut sched);
         assert_eq!(
             live.inject(JobSpec::batched(diamond())).unwrap_err(),
-            InjectError::ReleaseInPast { release: 0, now: 1 }
+            SimError::ReleaseInPast { release: 0, now: 1 }
         );
         let mut b = DagBuilder::new(3);
         b.add_task(Category(0));
         let err = live
             .inject(JobSpec::released(b.build().unwrap(), 5))
             .unwrap_err();
-        assert!(matches!(err, InjectError::CategoryMismatch { job: 1, .. }));
+        assert!(matches!(err, SimError::CategoryMismatch { job: 1, .. }));
         assert!(err.to_string().contains("categories but machine"));
     }
 
@@ -1505,7 +1446,7 @@ mod tests {
         let cfg = SimConfig::default().with_quantum(0);
         assert!(matches!(
             LiveSimulation::new(Resources::uniform(1, 1), cfg),
-            Err(BuildError::ZeroQuantum)
+            Err(SimError::ZeroQuantum)
         ));
     }
 

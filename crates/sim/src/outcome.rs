@@ -1,4 +1,4 @@
-//! Simulation results and derived metrics.
+//! The results of a run and the metrics derived from them.
 
 use crate::checker::RecordedSchedule;
 use crate::{Resources, StepTrace, Time};

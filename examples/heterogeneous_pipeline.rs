@@ -70,8 +70,9 @@ fn main() {
         &["scheduler", "makespan", "T/LB", "mean resp", "max resp"],
     );
     for kind in SchedulerKind::ALL {
-        let mut sched = kind.build(res.k());
-        let outcome = simulate(sched.as_mut(), &jobs, &res, &SimConfig::default());
+        let cfg = SimConfig::default();
+        let mut sched = kind.build(res.k(), SchedulerKind::DEFAULT_SEED, &cfg);
+        let outcome = simulate(sched.as_mut(), &jobs, &res, &cfg);
         table.row_owned(vec![
             kind.label().to_string(),
             outcome.makespan.to_string(),

@@ -57,17 +57,13 @@ fn main() {
         JobSpec::released(j3, 5), // arrives online at time 5
     ];
 
-    // The Simulation owns the machine, the jobs, and the config; it
-    // validates the assembly once and can then be run against any
-    // scheduler. K-RAD needs no knowledge of the jobs: it is
-    // non-clairvoyant.
-    let sim = Simulation::builder()
-        .resources(res.clone())
-        .jobs(jobs.iter().cloned())
-        .build()
-        .expect("jobs match the 2-category machine");
+    // One run = machine + jobs + config + scheduler. `check` refuses
+    // bad inputs with an error (`simulate` would panic on them). K-RAD
+    // needs no knowledge of the jobs: it is non-clairvoyant.
+    let cfg = SimConfig::default();
+    check(&jobs, &res, &cfg).expect("jobs match the 2-category machine");
     let mut scheduler = KRad::new(res.k());
-    let outcome = sim.run(&mut scheduler);
+    let outcome = simulate(&mut scheduler, &jobs, &res, &cfg);
 
     println!("\nscheduler: {}", outcome.scheduler);
     for i in 0..outcome.job_count() {

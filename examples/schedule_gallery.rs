@@ -31,14 +31,9 @@ fn main() {
         SchedulerKind::GreedyFcfs,
         SchedulerKind::RrOnly,
     ] {
-        let sim = Simulation::builder()
-            .resources(res.clone())
-            .jobs(jobs.iter().cloned())
-            .record_schedule(true)
-            .build()
-            .expect("gallery jobs match the machine");
-        let mut sched = kind.build(res.k());
-        let o = sim.run(sched.as_mut());
+        let cfg = SimConfig::default().with_schedule(true);
+        let mut sched = kind.build(res.k(), SchedulerKind::DEFAULT_SEED, &cfg);
+        let o = simulate(sched.as_mut(), &jobs, &res, &cfg);
         println!(
             "=== {} — makespan {}, mean response {:.1} ===",
             kind.label(),

@@ -31,15 +31,10 @@ fn main() {
             ("exact", DesireModel::Exact),
             ("a-greedy δ=0.8", DesireModel::AGreedy { delta: 0.8 }),
         ] {
-            let sim = Simulation::builder()
-                .resources(res.clone())
-                .jobs(jobs.iter().cloned())
-                .quantum(quantum)
-                .desire_model(model)
-                .build()
-                .expect("mix matches the machine");
-            let mut sched = KRad::new(k);
-            let o = sim.run(&mut sched);
+            let cfg = SimConfig::default()
+                .with_quantum(quantum)
+                .with_desire_model(model);
+            let o = simulate(&mut KRad::new(k), &jobs, &res, &cfg);
             table.row_owned(vec![
                 quantum.to_string(),
                 label.to_string(),

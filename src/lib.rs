@@ -23,13 +23,12 @@
 //! let res = Resources::new(vec![4, 2]);
 //! // One fork-join job alternating CPU and I/O phases.
 //! let job = fork_join(2, &[(Category(0), 4), (Category(1), 2), (Category(0), 4)]);
-//! let sim = Simulation::builder()
-//!     .resources(res)
-//!     .job(JobSpec::batched(job))
-//!     .build()
-//!     .expect("job shape matches the machine");
-//! let mut sched = KRad::new(sim.resources().k());
-//! let outcome = sim.run(&mut sched);
+//! let jobs = vec![JobSpec::batched(job)];
+//! let cfg = SimConfig::default();
+//! // Refuse bad inputs up front; `simulate` panics on them.
+//! check(&jobs, &res, &cfg).expect("job shape matches the machine");
+//! let mut sched = SchedulerKind::KRad.build(res.k(), SchedulerKind::DEFAULT_SEED, &cfg);
+//! let outcome = simulate(sched.as_mut(), &jobs, &res, &cfg);
 //! assert_eq!(outcome.makespan, 3); // span-limited
 //! ```
 
@@ -56,7 +55,8 @@ pub mod prelude {
     pub use kdag::{Category, DagBuilder, JobDag, JobId, SelectionPolicy, TaskId};
     pub use krad::{makespan_bound, mrt_bound_heavy, mrt_bound_light, KRad};
     pub use ksim::{
-        simulate, JobSpec, JobView, Resources, Scheduler, SimConfig, SimOutcome, Simulation, Time,
+        check, simulate, JobSpec, JobView, Resources, Scheduler, SimConfig, SimError, SimOutcome,
+        Time,
     };
 }
 
@@ -71,22 +71,5 @@ mod tests {
         let mut s = KRad::new(2);
         let o = simulate(&mut s, &jobs, &res, &SimConfig::default());
         assert_eq!(o.makespan, 4);
-    }
-
-    #[test]
-    fn facade_builder_matches_shim() {
-        let res = Resources::uniform(2, 2);
-        let jobs = vec![JobSpec::batched(chain(2, 4, &[Category(0), Category(1)]))];
-        let sim = Simulation::builder()
-            .resources(res.clone())
-            .jobs(jobs.iter().cloned())
-            .build()
-            .unwrap();
-        let mut a = KRad::new(2);
-        let mut b = KRad::new(2);
-        assert_eq!(
-            sim.run(&mut a).makespan,
-            simulate(&mut b, &jobs, &res, &SimConfig::default()).makespan
-        );
     }
 }

@@ -12,7 +12,7 @@ use kworkloads::rng_for;
 fn run(kind: SchedulerKind, jobs: &[JobSpec], res: &Resources, seed: u64) -> ksim::SimOutcome {
     let mut cfg = SimConfig::default().with_policy(SelectionPolicy::Fifo);
     cfg.seed = seed;
-    let mut s = kind.build_seeded(res.k(), seed);
+    let mut s = kind.build(res.k(), seed, &cfg);
     simulate(s.as_mut(), jobs, res, &cfg)
 }
 

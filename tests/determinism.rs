@@ -14,7 +14,7 @@ fn run_once(kind: SchedulerKind, policy: SelectionPolicy, seed: u64) -> SimOutco
     let mut cfg = SimConfig::default().with_policy(policy);
     cfg.seed = seed;
     cfg.record_trace = true;
-    let mut sched = kind.build(2);
+    let mut sched = kind.build(2, SchedulerKind::DEFAULT_SEED, &cfg);
     simulate(sched.as_mut(), &jobs, &res, &cfg)
 }
 
@@ -50,7 +50,7 @@ fn different_seeds_change_random_policy_only() {
     let outcome = |engine_seed: u64| {
         let mut cfg = SimConfig::default().with_policy(SelectionPolicy::Fifo);
         cfg.seed = engine_seed;
-        let mut s = SchedulerKind::KRad.build(2);
+        let mut s = SchedulerKind::KRad.build(2, SchedulerKind::DEFAULT_SEED, &cfg);
         simulate(s.as_mut(), &jobs, &res, &cfg)
     };
     let x = outcome(10);

@@ -62,13 +62,10 @@ fn scenario_snapshots() {
     let scenarios = kworkloads::scenarios::standard_suite(&mut rng_for(42, 0x77));
     let mut got = Vec::new();
     for sc in &scenarios {
-        let mut sched = SchedulerKind::KRad.build(sc.resources.k());
-        let o = simulate(
-            sched.as_mut(),
-            &sc.jobs,
-            &sc.resources,
-            &SimConfig::default(),
-        );
+        let cfg = SimConfig::default();
+        let mut sched =
+            SchedulerKind::KRad.build(sc.resources.k(), SchedulerKind::DEFAULT_SEED, &cfg);
+        let o = simulate(sched.as_mut(), &sc.jobs, &sc.resources, &cfg);
         got.push((sc.label, o.makespan, o.total_response()));
     }
     // These values correspond to master seed 42 (the committed T7

@@ -19,7 +19,7 @@ fn check(
     let mut cfg = SimConfig::default().with_policy(policy);
     cfg.seed = seed;
     cfg.record_schedule = true;
-    let mut sched = kind.build(res.k());
+    let mut sched = kind.build(res.k(), SchedulerKind::DEFAULT_SEED, &cfg);
     let o = simulate(sched.as_mut(), jobs, res, &cfg);
     let schedule = o.schedule.expect("recorded");
     // One record per task.

@@ -6,8 +6,8 @@
 use kanalysis::telemetry_report::TelemetrySummary;
 use kbaselines::SchedulerKind;
 use kdag::SelectionPolicy;
-use kexperiments::runner::Run;
-use ksim::Resources;
+use kexperiments::runner;
+use ksim::{Resources, SimConfig};
 use ktelemetry::{
     json::parse_jsonl, FanoutSink, JsonlSink, RecordingSink, SharedSink, TelemetryEvent,
     TelemetryHandle,
@@ -34,11 +34,11 @@ fn jsonl_stream_reproduces_the_run() {
         rec.clone() as SharedSink,
         file.clone() as SharedSink,
     ]));
-    let o = Run::new(SchedulerKind::KRad, &jobs, &res)
-        .policy(SelectionPolicy::Fifo)
-        .seed(7)
-        .telemetry(tel.clone())
-        .go();
+    let cfg = SimConfig::default()
+        .with_policy(SelectionPolicy::Fifo)
+        .with_seed(7)
+        .with_telemetry(tel.clone());
+    let o = runner::run(SchedulerKind::KRad, &jobs, &res, &cfg);
     tel.flush();
 
     // The file round-trips to exactly the recorded stream.

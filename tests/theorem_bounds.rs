@@ -131,8 +131,9 @@ fn absolute_lower_bounds_for_all_schedulers() {
             let mut rng = rng_for(seed, 0xA4);
             let jobs = batched_mix(&mut rng, &MixConfig::new(k, n, 18));
             let res = Resources::uniform(k, p);
-            let mut sched = kind.build(k);
-            let o = simulate(sched.as_mut(), &jobs, &res, &SimConfig::default());
+            let cfg = SimConfig::default();
+            let mut sched = kind.build(k, SchedulerKind::DEFAULT_SEED, &cfg);
+            let o = simulate(sched.as_mut(), &jobs, &res, &cfg);
             let lb = makespan_bounds(&jobs, &res).lower_bound();
             // Integer makespan vs real LB: ceil.
             assert!(

@@ -62,25 +62,24 @@ struct RunSpec<'a> {
 
 fn run(spec: &RunSpec<'_>) -> (SimOutcome, Vec<TelemetryEvent>) {
     let res = Resources::new(vec![3, 2]);
-    let mut cfg = SimConfig::builder()
-        .policy(spec.policy)
-        .seed(41)
-        .quantum(spec.quantum)
-        .time_policy(spec.time_policy)
-        .record_trace(spec.observed)
-        .record_schedule(spec.observed)
-        .build();
+    let mut cfg = SimConfig::default()
+        .with_policy(spec.policy)
+        .with_seed(41)
+        .with_quantum(spec.quantum)
+        .with_time_policy(spec.time_policy)
+        .with_trace(spec.observed)
+        .with_schedule(spec.observed);
     let events = if spec.observed {
         let (tel, rec) = TelemetryHandle::recording();
         cfg.telemetry = tel;
-        let mut sched = spec.kind.build_seeded(2, 41);
+        let mut sched = spec.kind.build(2, 41, &cfg);
         let outcome = simulate(sched.as_mut(), spec.jobs, &res, &cfg);
         let events = rec.lock().unwrap().events().to_vec();
         return (outcome, events);
     } else {
         Vec::new()
     };
-    let mut sched = spec.kind.build_seeded(2, 41);
+    let mut sched = spec.kind.build(2, 41, &cfg);
     (simulate(sched.as_mut(), spec.jobs, &res, &cfg), events)
 }
 
@@ -194,13 +193,12 @@ fn event_driven_matches_unit_step_with_feedback_desires() {
     let res = Resources::new(vec![3, 2]);
     for quantum in [1u64, 4, 7] {
         let outcome = |tp: TimePolicy| {
-            let cfg = SimConfig::builder()
-                .quantum(quantum)
-                .desire_model(ksim::DesireModel::AGreedy { delta: 0.8 })
-                .time_policy(tp)
-                .record_trace(true)
-                .build();
-            let mut sched = SchedulerKind::KRad.build(2);
+            let cfg = SimConfig::default()
+                .with_quantum(quantum)
+                .with_desire_model(ksim::DesireModel::AGreedy { delta: 0.8 })
+                .with_time_policy(tp)
+                .with_trace(true);
+            let mut sched = SchedulerKind::KRad.build(2, SchedulerKind::DEFAULT_SEED, &cfg);
             simulate(sched.as_mut(), &jobs, &res, &cfg)
         };
         let a = outcome(TimePolicy::UnitStep);
