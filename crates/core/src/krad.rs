@@ -1,6 +1,6 @@
 //! K-RAD: one RAD instance per resource category.
 
-use crate::rad::RadState;
+use crate::rad::{RadState, SlotTable};
 use kdag::{Category, JobId};
 use ksim::{AllotmentMatrix, JobView, Resources, Scheduler, Time};
 use ktelemetry::{SpanRecorder, TelemetryHandle};
@@ -19,6 +19,9 @@ use ktelemetry::{SpanRecorder, TelemetryHandle};
 #[derive(Clone, Debug)]
 pub struct KRad {
     rads: Vec<RadState>,
+    /// Job id → view slot for the current decision, shared by every
+    /// category's RAD instance.
+    slots: SlotTable,
     /// Cached display name (`name()` returns a borrow, so the
     /// formatted string lives with the scheduler).
     name: String,
@@ -48,6 +51,7 @@ impl KRad {
             rads: Category::all(k)
                 .map(|c| RadState::with_instrumentation(c, tel.clone(), spans.clone()))
                 .collect(),
+            slots: SlotTable::new(),
             name: format!("k-rad(K={k})"),
         }
     }
@@ -88,9 +92,10 @@ impl Scheduler for KRad {
         out: &mut AllotmentMatrix,
     ) {
         assert_eq!(res.k(), self.rads.len(), "machine/scheduler K mismatch");
+        self.slots.fill(views);
         for rad in &mut self.rads {
             let p = res.processors(rad.category());
-            rad.allot(t, views, p, out);
+            rad.allot(t, views, &self.slots, p, out);
         }
     }
 }

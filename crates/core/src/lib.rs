@@ -19,8 +19,10 @@
 //!
 //! ## Structure
 //!
-//! K-RAD assigns one [`RadState`] per category. Each RAD instance
-//! unifies two classic policies, switching by instantaneous load:
+//! K-RAD assigns one [`RadState`] per category; each decision fills
+//! one [`SlotTable`] (job id → view slot) that all `K` instances share.
+//! Each RAD instance unifies two classic policies, switching by
+//! instantaneous load:
 //!
 //! * `|α-active jobs| ≤ Pα` → **DEQ** ([`deq`]): dynamic
 //!   equi-partitioning — jobs desiring less than the fair share get
@@ -52,7 +54,7 @@ mod krad;
 mod rad;
 
 pub use krad::KRad;
-pub use rad::RadState;
+pub use rad::{RadState, SlotTable};
 
 /// The paper's makespan competitive-ratio bound `K + 1 − 1/Pmax`
 /// (Theorems 1 and 3). K-RAD never exceeds this factor over the

@@ -5,6 +5,54 @@ use kdag::{Category, JobId};
 use ksim::{AllotmentMatrix, JobView, Time};
 use ktelemetry::{SchedulerMode, SpanKind, SpanRecorder, TelemetryEvent, TelemetryHandle};
 
+/// Job id → view slot lookup for one decision, built once by
+/// [`SlotTable::fill`] and shared by the RAD instances of every
+/// category.
+///
+/// Entries persist across decisions; one left over from an earlier
+/// decision is recognised by checking the view at the slot it names.
+#[derive(Clone, Debug, Default)]
+pub struct SlotTable {
+    slot: Vec<u32>,
+}
+
+impl SlotTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        SlotTable::default()
+    }
+
+    /// Record the slot of every view: one write per view.
+    ///
+    /// `views` must be sorted by job id (the engine guarantees this),
+    /// so the last view carries the largest id.
+    pub fn fill(&mut self, views: &[JobView<'_>]) {
+        debug_assert!(
+            views.windows(2).all(|w| w[0].id < w[1].id),
+            "views must be sorted by job id"
+        );
+        let len = views.last().map_or(0, |v| v.id.index() + 1);
+        if self.slot.len() < len {
+            self.slot.resize(len, u32::MAX);
+        }
+        for (slot, v) in views.iter().enumerate() {
+            self.slot[v.id.index()] = slot as u32;
+        }
+    }
+
+    /// One more than the largest job id the table has seen.
+    pub(crate) fn len(&self) -> usize {
+        self.slot.len()
+    }
+
+    /// The slot of job `id` in `views`, the views last passed to
+    /// [`fill`](SlotTable::fill).
+    pub(crate) fn get(&self, id: JobId, views: &[JobView<'_>]) -> Option<usize> {
+        let slot = *self.slot.get(id.index())? as usize;
+        (slot < views.len() && views[slot].id == id).then_some(slot)
+    }
+}
+
 /// The RAD scheduler state for one processor category `α`.
 ///
 /// Faithful to the paper's Figure 2 pseudo-code:
@@ -33,8 +81,6 @@ pub struct RadState {
     marked: Vec<bool>,
     /// Number of set entries in `marked`.
     marked_count: u32,
-    /// Scratch: job id → view slot for the current decision.
-    slot_lut: Vec<u32>,
     /// Rotation counter for DEQ's remainder distribution.
     spill: usize,
     /// Scratch: desires of the DEQ participants.
@@ -77,7 +123,6 @@ impl RadState {
             queue: Vec::new(),
             marked: Vec::new(),
             marked_count: 0,
-            slot_lut: Vec::new(),
             spill: 0,
             deq_desires: Vec::new(),
             deq_out: Vec::new(),
@@ -127,26 +172,29 @@ impl RadState {
         self.marked.get(id.index()).copied().unwrap_or(false)
     }
 
+    /// Number of jobs served in the current RR cycle (marked jobs).
+    pub fn marked_count(&self) -> u32 {
+        self.marked_count
+    }
+
     /// Compute this category's allotments for step `t`.
     ///
-    /// `views` must be sorted by job id (the engine guarantees this);
+    /// `views` must be sorted by job id (the engine guarantees this)
+    /// and `slots` must have been [filled](SlotTable::fill) from them;
     /// allotments are written into `out` at each job's slot. `t` is
     /// only stamped into telemetry events — the decision itself
     /// depends on nothing but the queue state and the desires.
-    pub fn allot(&mut self, t: Time, views: &[JobView<'_>], p: u32, out: &mut AllotmentMatrix) {
+    pub fn allot(
+        &mut self,
+        t: Time,
+        views: &[JobView<'_>],
+        slots: &SlotTable,
+        p: u32,
+        out: &mut AllotmentMatrix,
+    ) {
         let cat = self.cat;
-        // Slot lookup table: one write per view, then O(1) per queued
-        // job (stale entries from earlier decisions are guarded by the
-        // id check below).
-        let max_id = views.iter().map(|v| v.id.index() + 1).max().unwrap_or(0);
-        if self.slot_lut.len() < max_id {
-            self.slot_lut.resize(max_id, u32::MAX);
-        }
-        if self.marked.len() < max_id {
-            self.marked.resize(max_id, false);
-        }
-        for (slot, v) in views.iter().enumerate() {
-            self.slot_lut[v.id.index()] = slot as u32;
+        if self.marked.len() < slots.len() {
+            self.marked.resize(slots.len(), false);
         }
 
         // Q: unmarked α-active, Q': marked α-active, both in queue
@@ -155,13 +203,12 @@ impl RadState {
         self.scratch_q.clear();
         self.scratch_marked.clear();
         for &id in &self.queue {
-            let slot = self.slot_lut[id.index()] as usize;
-            if slot >= views.len() || views[slot].id != id {
+            let Some(slot) = slots.get(id, views) else {
                 // Job released but not in views: impossible by
                 // construction (queue is synced by the callbacks).
                 debug_assert!(false, "queued job {id} missing from views");
                 continue;
-            }
+            };
             if views[slot].desire(cat) == 0 {
                 continue; // α-inactive this step
             }
@@ -276,7 +323,9 @@ impl RadState {
                 });
             }
             // Taking the DEQ branch ends the round-robin cycle: every
-            // mark placed during the cycle is cleared.
+            // mark placed during the cycle is cleared. Marked jobs are
+            // queued jobs (completion drops both), so walking the queue
+            // costs O(live jobs), not O(highest job id ever seen).
             if self.marked_count > 0 {
                 let served = self.marked_count;
                 self.tel.emit(|| TelemetryEvent::RrCycleComplete {
@@ -284,7 +333,11 @@ impl RadState {
                     category: cat.0,
                     served,
                 });
-                self.marked.fill(false);
+                for &id in &self.queue {
+                    if let Some(m) = self.marked.get_mut(id.index()) {
+                        *m = false;
+                    }
+                }
                 self.marked_count = 0;
             }
         }
@@ -328,7 +381,9 @@ mod tests {
                 .collect();
             let mut out = AllotmentMatrix::new(self.k);
             out.reset(views.len());
-            self.rad.allot(self.t, &views, self.p, &mut out);
+            let mut slots = SlotTable::new();
+            slots.fill(&views);
+            self.rad.allot(self.t, &views, &slots, self.p, &mut out);
             jobs.iter()
                 .enumerate()
                 .map(|(slot, &(id, _))| (id, out.get(slot, Category(0))))
@@ -567,7 +622,7 @@ mod tests {
         use kdag::{Category, DagBuilder};
         use ksim::{simulate, JobSpec, SimConfig, Time};
 
-        struct OneRad(RadState);
+        struct OneRad(RadState, SlotTable);
         impl ksim::Scheduler for OneRad {
             fn name(&self) -> &str {
                 "rad-1"
@@ -585,7 +640,9 @@ mod tests {
                 res: &Resources,
                 out: &mut AllotmentMatrix,
             ) {
-                self.0.allot(t, views, res.processors(Category(0)), out);
+                self.1.fill(views);
+                self.0
+                    .allot(t, views, &self.1, res.processors(Category(0)), out);
             }
         }
 
@@ -600,7 +657,7 @@ mod tests {
             })
             .collect();
         let res = Resources::uniform(1, 2);
-        let mut s = OneRad(RadState::new(Category(0)));
+        let mut s = OneRad(RadState::new(Category(0)), SlotTable::new());
         let o = simulate(&mut s, &jobs, &res, &SimConfig::default());
         assert_eq!(o.makespan, 24);
         assert_eq!(o.total_executed(), 48);

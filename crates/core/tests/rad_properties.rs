@@ -3,7 +3,7 @@
 use kdag::prop;
 use kdag::{Category, JobId};
 use krad::deq::deq_allot;
-use krad::RadState;
+use krad::{RadState, SlotTable};
 use ksim::{AllotmentMatrix, JobView};
 
 /// Drive one RadState over a stream of desire vectors; returns the
@@ -23,7 +23,9 @@ fn drive(rad: &mut RadState, stream: &[Vec<u32>], p: u32) -> Vec<Vec<u32>> {
             .collect();
         let mut out = AllotmentMatrix::new(1);
         out.reset(views.len());
-        rad.allot(step as u64 + 1, &views, p, &mut out);
+        let mut slots = SlotTable::new();
+        slots.fill(&views);
+        rad.allot(step as u64 + 1, &views, &slots, p, &mut out);
         result.push((0..views.len()).map(|s| out.get(s, Category(0))).collect());
     }
     result
@@ -144,4 +146,68 @@ fn rad_light_load_is_deq() {
             }
         },
     );
+}
+
+/// Mark bookkeeping over random arrive/complete/desire sequences:
+/// after every `allot`, `marked_count` equals the number of marked
+/// queued jobs, no job stays marked after a DEQ-branch step, and a
+/// completed job is never marked.
+#[test]
+fn rad_marks_track_the_queue() {
+    use ktelemetry::SchedulerMode;
+    // Ops: 0 → a new job arrives, 1 → the `x`-th live job completes,
+    // 2 and 3 → one decision, live job `i` desiring `d[i % d.len()]`.
+    let op = (0u8..4, 0usize..64, prop::vec(0u32..4, 1..16));
+    prop::check(128, (prop::vec(op, 1..80), 1u32..5), |&(ref ops, p)| {
+        let mut rad = RadState::new(Category(0));
+        let mut slots = SlotTable::new();
+        let mut live: Vec<JobId> = Vec::new();
+        let mut done: Vec<JobId> = Vec::new();
+        let mut next_id = 0u32;
+        for (step, (kind, x, d)) in ops.iter().enumerate() {
+            match kind {
+                0 => {
+                    rad.job_arrived(JobId(next_id));
+                    live.push(JobId(next_id));
+                    next_id += 1;
+                }
+                1 if !live.is_empty() => {
+                    let id = live.remove(x % live.len());
+                    rad.job_completed(id);
+                    done.push(id);
+                }
+                1 => {}
+                _ => {
+                    let rows: Vec<[u32; 1]> = (0..live.len()).map(|i| [d[i % d.len()]]).collect();
+                    let views: Vec<JobView<'_>> = live
+                        .iter()
+                        .zip(&rows)
+                        .map(|(&id, row)| JobView {
+                            id,
+                            release: 0,
+                            desires: row,
+                        })
+                        .collect();
+                    let mut out = AllotmentMatrix::new(1);
+                    out.reset(views.len());
+                    slots.fill(&views);
+                    rad.allot(step as u64 + 1, &views, &slots, p, &mut out);
+                    let marked = live.iter().filter(|&&id| rad.is_marked(id)).count();
+                    assert_eq!(
+                        rad.marked_count() as usize,
+                        marked,
+                        "step {step}: marked_count disagrees with the marked queue"
+                    );
+                    if rad.mode() == SchedulerMode::Deq {
+                        assert_eq!(marked, 0, "step {step}: marks survive a DEQ step");
+                    }
+                }
+            }
+            assert!(
+                done.iter().all(|&id| !rad.is_marked(id)),
+                "step {step}: a completed job is still marked"
+            );
+            assert_eq!(rad.tracked_jobs(), live.len());
+        }
+    });
 }

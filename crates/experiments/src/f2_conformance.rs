@@ -9,7 +9,7 @@ use kanalysis::report::ExperimentReport;
 use kanalysis::table::Table;
 use kdag::{Category, JobId};
 use krad::deq::deq_allot;
-use krad::RadState;
+use krad::{RadState, SlotTable};
 use ksim::{AllotmentMatrix, JobView};
 use ktelemetry::json::Value;
 
@@ -34,7 +34,9 @@ fn rad_step(rad: &mut RadState, desires: &[u32], p: u32) -> Vec<u32> {
         .collect();
     let mut out = AllotmentMatrix::new(1);
     out.reset(views.len());
-    rad.allot(1, &views, p, &mut out);
+    let mut slots = SlotTable::new();
+    slots.fill(&views);
+    rad.allot(1, &views, &slots, p, &mut out);
     (0..views.len()).map(|s| out.get(s, Category(0))).collect()
 }
 

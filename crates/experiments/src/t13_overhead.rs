@@ -71,7 +71,9 @@ pub fn run(opts: &RunOpts) -> ExperimentReport {
             format!("{:.1}", r.micros_per_step),
         ]);
     }
-    table.note("wall-clock timings vary by machine; see crates/bench for Criterion measurements");
+    table.note(
+        "wall-clock timings vary by machine; see perfbench/ for the end-to-end benchmark and `kperf run` for per-phase engine timings",
+    );
 
     // Structural checks only (timing itself is machine-dependent):
     // every run completed with the expected step count shape, and no

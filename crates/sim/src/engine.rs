@@ -381,8 +381,11 @@ pub(crate) fn check_job(job: usize, spec: &JobSpec, machine_k: usize) -> Result<
 /// completion, so the batch and online paths execute the *same* step
 /// loop (the replay-bridge guarantee the `kserve` daemon relies on).
 /// The step loop holds flat preallocated state and performs no
-/// steady-state heap allocation; see [`crate::live`] for the
-/// data-structure notes.
+/// steady-state heap allocation: scheduler views borrow desires in
+/// place from one reused buffer, and a unit step executes only the
+/// jobs whose frozen allotment row is nonzero, so under heavy load its
+/// cost follows the jobs served rather than the jobs active. See
+/// [`crate::live`] for the data-structure notes.
 ///
 /// # Panics
 /// Panics with the [`SimError`] message if [`check`] refuses the

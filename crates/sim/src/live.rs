@@ -21,6 +21,19 @@
 //!   active (or fast-forwards to the next pending release), so
 //!   wall-clock idle time at the service layer consumes no virtual
 //!   steps and leaves no trace in the canonical arrival record.
+//!
+//! ## The unit-step hot path
+//!
+//! * **Views borrow in place.** A decision's [`JobView`]s point at
+//!   each job's incrementally maintained ready counts
+//!   ([`ExecutionState::desires`]) or at its A-Greedy estimate row; no
+//!   desire is copied. The views live in one reused buffer, so a
+//!   decision allocates nothing however many jobs are active.
+//! * **Only served jobs execute.** A row that is unfrozen (the job
+//!   arrived mid-quantum) or all zero is skipped: it would pop nothing,
+//!   draw no RNG, record nothing and could not complete a non-empty
+//!   job. Its one observable effect, closing an open ktrace segment on
+//!   an `n = 0` step, is kept.
 
 use crate::checker::{ExecRecord, RecordedSchedule};
 use crate::{
@@ -119,7 +132,6 @@ pub struct LiveSimulation {
     frozen_set: Vec<bool>,
     next_decision: Time,
     last_decision: Time,
-    zero_row: Vec<u32>,
 
     // A-Greedy feedback state (flat `jobs × K` matrices, grown only
     // when feedback is enabled).
@@ -131,7 +143,10 @@ pub struct LiveSimulation {
     usage_init: Vec<bool>,
 
     // Reused per-step buffers (no steady-state allocation).
-    desires_buf: Vec<u32>,
+    /// The scheduler's views, empty between decisions: each decision
+    /// refills it with views that borrow desires in place and hands
+    /// the allocation back afterwards (see `step_once`).
+    views: Vec<JobView<'static>>,
     executed_buf: Vec<u32>,
     exec_record: Vec<(Category, TaskId)>,
     out: AllotmentMatrix,
@@ -202,14 +217,13 @@ impl LiveSimulation {
             frozen_set: Vec::new(),
             next_decision: 0,
             last_decision: 0,
-            zero_row: vec![0; k],
             feedback_delta,
             est: Vec::new(),
             est_set: Vec::new(),
             reported: Vec::new(),
             usage: Vec::new(),
             usage_init: Vec::new(),
-            desires_buf: Vec::new(),
+            views: Vec::new(),
             executed_buf: vec![0; k],
             exec_record: Vec::new(),
             out: AllotmentMatrix::new(k),
@@ -391,148 +405,113 @@ impl LiveSimulation {
         assert!(self.remaining > 0, "step() called with no incomplete jobs");
         let k = self.k;
         let row_range = |idx: usize| idx * k..(idx + 1) * k;
-        let cfg = &self.cfg;
-        let res = &self.res;
-        let jobs = &self.jobs;
-        let states = &mut self.states;
-        let active = &mut self.active;
-        let tel = &self.tel;
 
         // Fast-forward idle intervals.
-        if active.is_empty() {
-            let r = jobs[self.order[self.next_arrival]].release;
+        if self.active.is_empty() {
+            let r = self.jobs[self.order[self.next_arrival]].release;
             let t = self.t;
             if r > t {
                 self.idle_steps += r - t;
-                tel.emit(|| TelemetryEvent::IdleSkip { from: t, to: r });
+                self.tel
+                    .emit(|| TelemetryEvent::IdleSkip { from: t, to: r });
                 self.t = r;
             }
         }
         self.t += 1;
         let t = self.t;
         assert!(
-            t <= cfg.max_steps,
+            t <= self.cfg.max_steps,
             "simulation exceeded max_steps={} under scheduler '{}'",
-            cfg.max_steps,
+            self.cfg.max_steps,
             scheduler.name()
         );
 
         // Activate arrivals: release < t means available at step t.
         while self.next_arrival < self.order.len()
-            && jobs[self.order[self.next_arrival]].release < t
+            && self.jobs[self.order[self.next_arrival]].release < t
         {
             let idx = self.order[self.next_arrival];
-            let pos = active.partition_point(|&x| x < idx);
-            active.insert(pos, idx);
+            let pos = self.active.partition_point(|&x| x < idx);
+            self.active.insert(pos, idx);
             scheduler.on_arrival(JobId(idx as u32), t);
-            tel.emit(|| TelemetryEvent::JobReleased { t, job: idx as u32 });
+            self.tel
+                .emit(|| TelemetryEvent::JobReleased { t, job: idx as u32 });
             self.next_arrival += 1;
         }
-        debug_assert!(!active.is_empty(), "stepping with no active jobs");
-        tel.emit(|| TelemetryEvent::StepStart {
-            t,
-            active_jobs: active.len() as u32,
-        });
+        debug_assert!(!self.active.is_empty(), "stepping with no active jobs");
+        let active_jobs = self.active.len() as u32;
+        self.tel
+            .emit(|| TelemetryEvent::StepStart { t, active_jobs });
 
         // Quantum boundary: consult the scheduler and freeze allotments.
-        let mut decided = false;
-        if t >= self.next_decision {
+        let decided = t >= self.next_decision;
+        if decided {
             // ktrace: a decision re-freezes every row, so the open
             // execution segments are truncated at the boundary — the
             // per-quantum segment of each job ends at `t - 1`.
             if self.job_events {
-                for &idx in active.iter() {
-                    if self.seg_tasks[idx] > 0 {
-                        let (from, tasks) = (self.seg_from[idx], self.seg_tasks[idx]);
-                        self.seg_tasks[idx] = 0;
-                        tel.emit(|| TelemetryEvent::JobExecSegment {
-                            job: idx as u32,
-                            from,
-                            to: t - 1,
-                            tasks,
-                        });
-                    }
+                for i in 0..self.active.len() {
+                    self.close_segment(self.active[i], t - 1);
                 }
             }
 
-            // A-Greedy: digest the quantum that just ended.
+            // A-Greedy: digest the quantum that just ended, then give a
+            // job's first decision the estimate 1 in every category.
             if let Some(delta) = self.feedback_delta {
                 let elapsed = t.saturating_sub(self.last_decision);
-                if elapsed > 0 {
-                    for &idx in active.iter() {
-                        if !self.frozen_set[idx] || !self.est_set[idx] {
-                            continue;
-                        }
-                        let r = row_range(idx);
-                        for c in 0..k {
-                            let fr = self.frozen[r.start + c];
-                            if fr < self.reported[r.start + c] {
+                for &idx in &self.active {
+                    let r = row_range(idx);
+                    if elapsed > 0 && self.frozen_set[idx] && self.est_set[idx] {
+                        for c in r.clone() {
+                            let fr = self.frozen[c];
+                            if fr < self.reported[c] {
                                 continue; // deprived: estimate unchanged
                             }
                             let granted = u64::from(fr) * elapsed;
-                            let e = &mut self.est[r.start + c];
-                            if (self.usage[r.start + c] as f64) >= delta * granted as f64 {
+                            let e = &mut self.est[c];
+                            if (self.usage[c] as f64) >= delta * granted as f64 {
                                 *e = e.saturating_mul(2).min(EST_CAP);
                             } else {
                                 *e = (*e / 2).max(1);
                             }
                         }
-                        self.usage[r].fill(0);
+                        self.usage[r.clone()].fill(0);
                     }
+                    if !self.est_set[idx] {
+                        self.est[r].fill(1);
+                        self.est_set[idx] = true;
+                    }
+                    self.usage_init[idx] = true;
                 }
             }
 
-            // Build the non-clairvoyant views (exact desires — an O(1)
-            // read of the incrementally maintained ready counts — or
-            // feedback estimates).
-            // Every row is fully overwritten below, so no zeroing pass.
-            self.desires_buf.resize(active.len() * k, 0);
-            for (slot, &idx) in active.iter().enumerate() {
-                let row = &mut self.desires_buf[slot * k..(slot + 1) * k];
-                match cfg.desire_model {
-                    DesireModel::Exact => row.copy_from_slice(states[idx].desires()),
-                    DesireModel::AGreedy { .. } => {
-                        let r = row_range(idx);
-                        if !self.est_set[idx] {
-                            self.est[r.clone()].fill(1);
-                            self.est_set[idx] = true;
-                        }
-                        row.copy_from_slice(&self.est[r]);
-                        self.usage_init[idx] = true;
-                    }
-                }
-            }
-            // The views borrow `desires_buf`, so they cannot persist
-            // across steps in safe Rust; a stack array covers the
-            // common case and only very wide steps fall back to a
-            // heap allocation.
-            const VIEW_STACK: usize = 8;
-            let desires_buf = &self.desires_buf;
-            let make_view = |(slot, &idx): (usize, &usize)| JobView {
+            // Build the non-clairvoyant views. Each borrows its desires
+            // in place: the incrementally maintained ready counts, or
+            // the A-Greedy estimate row. The views live in the reused
+            // `self.views` allocation: an empty `Vec<JobView<'static>>`
+            // re-collected into a `Vec<JobView<'_>>` (same layout, so
+            // the collect reuses the buffer and allocates nothing), and
+            // handed back the same way once the scheduler is done.
+            let (jobs, states, est) = (&self.jobs, &self.states, &self.est);
+            let mut views: Vec<JobView<'_>> = std::mem::take(&mut self.views)
+                .into_iter()
+                .map(|_| unreachable!("the views buffer is empty between decisions"))
+                .collect();
+            views.extend(self.active.iter().map(|&idx| JobView {
                 id: JobId(idx as u32),
                 release: jobs[idx].release,
-                desires: &desires_buf[slot * k..(slot + 1) * k],
-            };
-            let mut view_stack = [JobView {
-                id: JobId(0),
-                release: 0,
-                desires: &[],
-            }; VIEW_STACK];
-            let view_heap: Vec<JobView<'_>>;
-            let views: &[JobView<'_>] = if active.len() <= VIEW_STACK {
-                for (slot, v) in active.iter().enumerate().map(make_view).enumerate() {
-                    view_stack[slot] = v;
-                }
-                &view_stack[..active.len()]
-            } else {
-                view_heap = active.iter().enumerate().map(make_view).collect();
-                &view_heap
-            };
+                desires: match self.feedback_delta {
+                    None => states[idx].desires(),
+                    Some(_) => &est[row_range(idx)],
+                },
+            }));
 
-            self.out.reset(active.len());
-            lap = cfg.spans.lap(SpanKind::Ready, lap);
-            scheduler.allot(t, views, res, &mut self.out);
-            lap = cfg.spans.lap(SpanKind::Decide, lap);
+            self.out.reset(self.active.len());
+            lap = self.cfg.spans.lap(SpanKind::Ready, lap);
+            scheduler.allot(t, &views, &self.res, &mut self.out);
+            lap = self.cfg.spans.lap(SpanKind::Decide, lap);
+            views.clear();
+            self.views = views.into_iter().map(|_| unreachable!()).collect();
 
             // Freeze the decision for the quantum (row copies into the
             // flat matrices — no per-decision allocation), folding the
@@ -545,7 +524,7 @@ impl LiveSimulation {
             // step-over-step losses (a job that *finished* has
             // `frozen_set` cleared and is not counted).
             self.decision_totals.fill(0);
-            for (slot, &idx) in active.iter().enumerate() {
+            for (slot, &idx) in self.active.iter().enumerate() {
                 let r = row_range(idx);
                 let row = self.out.row(slot);
                 for (tot, &a) in self.decision_totals.iter_mut().zip(row) {
@@ -560,10 +539,11 @@ impl LiveSimulation {
                 self.frozen_set[idx] = true;
                 if self.job_events && !self.first_allot_seen[idx] && row.iter().any(|&a| a > 0) {
                     self.first_allot_seen[idx] = true;
-                    tel.emit(|| TelemetryEvent::JobFirstAllot { t, job: idx as u32 });
+                    self.tel
+                        .emit(|| TelemetryEvent::JobFirstAllot { t, job: idx as u32 });
                 }
                 if self.feedback_delta.is_some() {
-                    self.reported[r].copy_from_slice(&desires_buf[slot * k..(slot + 1) * k]);
+                    self.reported[r.clone()].copy_from_slice(&self.est[r]);
                 }
             }
 
@@ -571,131 +551,137 @@ impl LiveSimulation {
             for cat in Category::all(k) {
                 let total = self.decision_totals[cat.index()];
                 assert!(
-                    total <= u64::from(res.processors(cat)),
+                    total <= u64::from(self.res.processors(cat)),
                     "scheduler '{}' over-allotted {cat}: {total} > {} at step {t}",
                     scheduler.name(),
-                    res.processors(cat)
+                    self.res.processors(cat)
                 );
             }
             self.last_decision = t;
-            self.next_decision = t + cfg.quantum;
-            decided = true;
-        } else {
-            lap = cfg.spans.lap(SpanKind::Ready, lap);
-        }
-
-        // Execute the step: one pass over the active jobs doing the
-        // allotted-total bookkeeping and task execution against the
-        // flat frozen rows (zeros for jobs that arrived mid-quantum) —
-        // no per-job allocation. On decision steps the allotted totals
-        // were already summed while freezing the rows.
-        if decided {
+            self.next_decision = t + self.cfg.quantum;
+            // The allotted totals were summed while freezing the rows.
             for (tot, &d) in self.allotted_totals.iter_mut().zip(&self.decision_totals) {
                 *tot = d as u32;
             }
         } else {
-            self.allotted_totals.fill(0);
-            for &idx in active.iter() {
-                if self.frozen_set[idx] {
-                    let r = row_range(idx);
-                    for (tot, &a) in self.allotted_totals.iter_mut().zip(&self.frozen[r]) {
-                        *tot += a;
-                    }
-                }
-            }
+            lap = self.cfg.spans.lap(SpanKind::Ready, lap);
+            self.recompute_allotted_totals();
         }
+
+        // Execute the step against the flat frozen rows. A zero row (a
+        // job that arrived mid-quantum, or one the decision gave
+        // nothing) pops nothing, draws no RNG, records nothing and
+        // cannot complete a non-empty job, so it is not executed at
+        // all: under heavy load K-RAD serves at most Pα jobs per
+        // category and the pass costs O(jobs served). Such a job only
+        // reaches the ktrace bookkeeping, as an `n = 0` step — the rule
+        // the event clock's `seg_live` set applies.
         self.step_executed_totals.fill(0);
         self.proc_counter.fill(0);
+        let remaining = self.remaining;
         let mut step_total = 0u64;
-        let mut any_completed = false;
-        for &idx in active.iter() {
-            let r = row_range(idx);
-            let row: &[u32] = if self.frozen_set[idx] {
-                &self.frozen[r.clone()]
+        for i in 0..self.active.len() {
+            let idx = self.active[i];
+            if self.served(idx) {
+                step_total += self.execute_row(idx, scheduler);
             } else {
-                &self.zero_row
-            };
-            self.exec_record.clear();
-            let rec = cfg.record_schedule.then_some(&mut self.exec_record);
-            let n = states[idx].execute_step(
-                &jobs[idx].dag,
-                row,
-                &mut self.rng,
-                &mut self.executed_buf,
-                rec,
-            );
-            step_total += n;
-            if self.job_events {
-                if n > 0 {
-                    if self.seg_tasks[idx] == 0 {
-                        self.seg_from[idx] = t;
-                    }
-                    self.seg_tasks[idx] += n;
-                } else if self.seg_tasks[idx] > 0 {
-                    // Drained mid-quantum: the segment ended last step.
-                    let (from, tasks) = (self.seg_from[idx], self.seg_tasks[idx]);
-                    self.seg_tasks[idx] = 0;
-                    tel.emit(|| TelemetryEvent::JobExecSegment {
-                        job: idx as u32,
-                        from,
-                        to: t - 1,
-                        tasks,
-                    });
-                }
-            }
-            for (tot, &e) in self
-                .step_executed_totals
-                .iter_mut()
-                .zip(self.executed_buf.iter())
-            {
-                *tot += e;
-            }
-            if self.feedback_delta.is_some() && self.usage_init[idx] {
-                for (u, &e) in self.usage[r].iter_mut().zip(self.executed_buf.iter()) {
-                    *u += u64::from(e);
-                }
-            }
-            for &(cat, task) in &self.exec_record {
-                let p = &mut self.proc_counter[cat.index()];
-                self.schedule.records.push(ExecRecord {
-                    job: JobId(idx as u32),
-                    task,
-                    t,
-                    category: cat,
-                    processor: *p,
-                });
-                *p += 1;
-            }
-            if states[idx].is_complete() {
-                self.completions[idx] = t;
-                scheduler.on_completion(JobId(idx as u32), t);
-                if self.job_events && self.seg_tasks[idx] > 0 {
-                    let (from, tasks) = (self.seg_from[idx], self.seg_tasks[idx]);
-                    self.seg_tasks[idx] = 0;
-                    tel.emit(|| TelemetryEvent::JobExecSegment {
-                        job: idx as u32,
-                        from,
-                        to: t,
-                        tasks,
-                    });
-                }
-                tel.emit(|| TelemetryEvent::JobCompleted {
-                    t,
-                    job: idx as u32,
-                    response: t - jobs[idx].release,
-                });
-                self.remaining -= 1;
-                any_completed = true;
-                self.report.completed.push((idx, t));
-                // Losing processors by *finishing* is not a preemption:
-                // clearing `frozen_set` excludes this job from the next
-                // decision's old-vs-new comparison.
-                self.frozen_set[idx] = false;
-                if self.feedback_delta.is_some() {
-                    self.est_set[idx] = false;
-                }
+                self.note_segment(idx, 0);
             }
         }
+        self.end_step(step_total, self.remaining < remaining, scheduler);
+        self.cfg.spans.finish(SpanKind::Execute, lap);
+        decided
+    }
+
+    /// Whether job `idx`'s frozen row allots it anything: only such a
+    /// job can execute before the next decision.
+    fn served(&self, idx: usize) -> bool {
+        self.frozen_set[idx]
+            && self.frozen[idx * self.k..(idx + 1) * self.k]
+                .iter()
+                .any(|&a| a > 0)
+    }
+
+    /// Execute job `idx`'s frozen row at the current step, then do its
+    /// per-job accounting: ktrace segment, executed totals, A-Greedy
+    /// usage, schedule records and completion. The unit step and the
+    /// event clock's plain steps both run it, so they draw the RNG and
+    /// record in the same per-job order. Returns the tasks executed.
+    fn execute_row(&mut self, idx: usize, scheduler: &mut dyn Scheduler) -> u64 {
+        let t = self.t;
+        let row = idx * self.k..(idx + 1) * self.k;
+        self.exec_record.clear();
+        let rec = self.cfg.record_schedule.then_some(&mut self.exec_record);
+        let n = self.states[idx].execute_step(
+            &self.jobs[idx].dag,
+            &self.frozen[row.clone()],
+            &mut self.rng,
+            &mut self.executed_buf,
+            rec,
+        );
+        self.note_segment(idx, n);
+        for (tot, &e) in self.step_executed_totals.iter_mut().zip(&self.executed_buf) {
+            *tot += e;
+        }
+        if self.feedback_delta.is_some() && self.usage_init[idx] {
+            for (u, &e) in self.usage[row].iter_mut().zip(&self.executed_buf) {
+                *u += u64::from(e);
+            }
+        }
+        for &(cat, task) in &self.exec_record {
+            let p = &mut self.proc_counter[cat.index()];
+            self.schedule.records.push(ExecRecord {
+                job: JobId(idx as u32),
+                task,
+                t,
+                category: cat,
+                processor: *p,
+            });
+            *p += 1;
+        }
+        if self.states[idx].is_complete() {
+            self.complete_job(idx, scheduler);
+        }
+        n
+    }
+
+    /// ktrace: account the `n` tasks job `idx` executed at the current
+    /// step. A step that executes nothing ends the open segment, if
+    /// any, at the step before.
+    fn note_segment(&mut self, idx: usize, n: u64) {
+        if !self.job_events {
+            return;
+        }
+        if n > 0 {
+            if self.seg_tasks[idx] == 0 {
+                self.seg_from[idx] = self.t;
+            }
+            self.seg_tasks[idx] += n;
+        } else {
+            self.close_segment(idx, self.t - 1);
+        }
+    }
+
+    /// ktrace: emit job `idx`'s open execution segment, if any, as
+    /// ending at step `to`.
+    fn close_segment(&mut self, idx: usize, to: Time) {
+        if self.seg_tasks[idx] > 0 {
+            let tasks = std::mem::take(&mut self.seg_tasks[idx]);
+            let from = self.seg_from[idx];
+            self.tel.emit(|| TelemetryEvent::JobExecSegment {
+                job: idx as u32,
+                from,
+                to,
+                tasks,
+            });
+        }
+    }
+
+    /// The accounting that closes every executed step: cumulative
+    /// totals, dropping completed jobs from `active`, stall detection,
+    /// and the `StepEnd` event and trace record.
+    fn end_step(&mut self, step_total: u64, any_completed: bool, scheduler: &mut dyn Scheduler) {
+        let t = self.t;
         for (tot, &e) in self
             .executed_by_category
             .iter_mut()
@@ -711,15 +697,14 @@ impl LiveSimulation {
             *tot += u64::from(a);
         }
         if any_completed {
-            active.retain(|&idx| !states[idx].is_complete());
+            let states = &self.states;
+            self.active.retain(|&idx| !states[idx].is_complete());
         }
         self.busy_steps += 1;
-
-        // Stall detection.
         if step_total == 0 && self.remaining > 0 {
             self.stalled += 1;
             assert!(
-                self.stalled <= cfg.stall_limit,
+                self.stalled <= self.cfg.stall_limit,
                 "scheduler '{}' stalled for {} consecutive steps at t={t}",
                 scheduler.name(),
                 self.stalled
@@ -727,13 +712,12 @@ impl LiveSimulation {
         } else {
             self.stalled = 0;
         }
-
-        tel.emit(|| TelemetryEvent::StepEnd {
+        self.tel.emit(|| TelemetryEvent::StepEnd {
             t,
             allotted: self.allotted_totals.clone(),
             executed: self.step_executed_totals.clone(),
         });
-        if cfg.record_trace {
+        if self.cfg.record_trace {
             self.trace.push(StepTrace {
                 t,
                 active_jobs: (self.active.len() + usize::from(any_completed)) as u32,
@@ -741,8 +725,6 @@ impl LiveSimulation {
                 executed: self.step_executed_totals.clone(),
             });
         }
-        cfg.spans.finish(SpanKind::Execute, lap);
-        decided
     }
 
     /// Advance the clock by one *event* and return a typed
@@ -870,9 +852,9 @@ impl LiveSimulation {
         // executions. So the live set starts as the active jobs with a
         // nonzero frozen row and only ever shrinks.
         self.seg_live.clear();
-        for &idx in &self.active {
-            if self.frozen_set[idx] && self.frozen[idx * k..(idx + 1) * k].iter().any(|&a| a > 0) {
-                self.seg_live.push(idx);
+        for i in 0..self.active.len() {
+            if self.served(self.active[i]) {
+                self.seg_live.push(self.active[i]);
             }
         }
         self.recompute_allotted_totals();
@@ -968,125 +950,27 @@ impl LiveSimulation {
             self.cfg.max_steps,
             scheduler.name()
         );
-        let active_before = self.active.len() as u32;
-        self.tel.emit(|| TelemetryEvent::StepStart {
-            t,
-            active_jobs: active_before,
-        });
+        let active_jobs = self.active.len() as u32;
+        self.tel
+            .emit(|| TelemetryEvent::StepStart { t, active_jobs });
         self.step_executed_totals.fill(0);
         self.proc_counter.fill(0);
-        let k = self.k;
+        let remaining = self.remaining;
         let mut step_total = 0u64;
-        let mut any_completed = false;
         let mut w = 0usize;
         for i in 0..self.seg_live.len() {
             let idx = self.seg_live[i];
-            let row = idx * k..(idx + 1) * k;
-            self.exec_record.clear();
-            let rec = self.cfg.record_schedule.then_some(&mut self.exec_record);
-            let n = self.states[idx].execute_step(
-                &self.jobs[idx].dag,
-                &self.frozen[row.clone()],
-                &mut self.rng,
-                &mut self.executed_buf,
-                rec,
-            );
+            let n = self.execute_row(idx, scheduler);
             step_total += n;
-            if self.job_events {
-                if n > 0 {
-                    if self.seg_tasks[idx] == 0 {
-                        self.seg_from[idx] = t;
-                    }
-                    self.seg_tasks[idx] += n;
-                } else if self.seg_tasks[idx] > 0 {
-                    // Drained mid-quantum: the segment ended last step.
-                    let (from, tasks) = (self.seg_from[idx], self.seg_tasks[idx]);
-                    self.seg_tasks[idx] = 0;
-                    self.tel.emit(|| TelemetryEvent::JobExecSegment {
-                        job: idx as u32,
-                        from,
-                        to: t - 1,
-                        tasks,
-                    });
-                }
-            }
-            for (tot, &e) in self
-                .step_executed_totals
-                .iter_mut()
-                .zip(self.executed_buf.iter())
-            {
-                *tot += e;
-            }
-            if self.feedback_delta.is_some() && self.usage_init[idx] {
-                for (u, &e) in self.usage[row].iter_mut().zip(self.executed_buf.iter()) {
-                    *u += u64::from(e);
-                }
-            }
-            for &(cat, task) in &self.exec_record {
-                let p = &mut self.proc_counter[cat.index()];
-                self.schedule.records.push(ExecRecord {
-                    job: JobId(idx as u32),
-                    task,
-                    t,
-                    category: cat,
-                    processor: *p,
-                });
-                *p += 1;
-            }
-            if self.states[idx].is_complete() {
-                any_completed = true;
-                self.complete_job(idx, scheduler);
-            } else if n > 0 {
+            // Drained (`n == 0`) and completed jobs leave the live set.
+            if n > 0 && !self.states[idx].is_complete() {
                 self.seg_live[w] = idx;
                 w += 1;
             }
-            // `n == 0` without completion: drained, drop from the live
-            // set (skipped by not writing back).
         }
         self.seg_live.truncate(w);
-        for (tot, &e) in self
-            .executed_by_category
-            .iter_mut()
-            .zip(&self.step_executed_totals)
-        {
-            *tot += u64::from(e);
-        }
-        for (tot, &a) in self
-            .allotted_by_category
-            .iter_mut()
-            .zip(&self.allotted_totals)
-        {
-            *tot += u64::from(a);
-        }
-        if any_completed {
-            let states = &self.states;
-            self.active.retain(|&idx| !states[idx].is_complete());
-        }
-        self.busy_steps += 1;
-        if step_total == 0 && self.remaining > 0 {
-            self.stalled += 1;
-            assert!(
-                self.stalled <= self.cfg.stall_limit,
-                "scheduler '{}' stalled for {} consecutive steps at t={t}",
-                scheduler.name(),
-                self.stalled
-            );
-        } else {
-            self.stalled = 0;
-        }
-        self.tel.emit(|| TelemetryEvent::StepEnd {
-            t,
-            allotted: self.allotted_totals.clone(),
-            executed: self.step_executed_totals.clone(),
-        });
-        if self.cfg.record_trace {
-            self.trace.push(StepTrace {
-                t,
-                active_jobs: (self.active.len() + usize::from(any_completed)) as u32,
-                allotted: self.allotted_totals.clone(),
-                executed: self.step_executed_totals.clone(),
-            });
-        }
+        let any_completed = self.remaining < remaining;
+        self.end_step(step_total, any_completed, scheduler);
         if any_completed {
             self.recompute_allotted_totals();
         }
@@ -1167,23 +1051,16 @@ impl LiveSimulation {
         }
     }
 
-    /// Shared completion bookkeeping for the batched paths (the unit
-    /// stepper inlines the same sequence). Does *not* remove the job
-    /// from `active`/`seg_live` — callers own those structures.
+    /// Completion bookkeeping shared by every path. Does *not* remove
+    /// the job from `active`/`seg_live` — callers own those structures.
+    /// Losing processors by *finishing* is not a preemption: clearing
+    /// `frozen_set` excludes the job from the next decision's
+    /// old-vs-new comparison.
     fn complete_job(&mut self, idx: usize, scheduler: &mut dyn Scheduler) {
         let t = self.t;
         self.completions[idx] = t;
         scheduler.on_completion(JobId(idx as u32), t);
-        if self.job_events && self.seg_tasks[idx] > 0 {
-            let (from, tasks) = (self.seg_from[idx], self.seg_tasks[idx]);
-            self.seg_tasks[idx] = 0;
-            self.tel.emit(|| TelemetryEvent::JobExecSegment {
-                job: idx as u32,
-                from,
-                to: t,
-                tasks,
-            });
-        }
+        self.close_segment(idx, t);
         let release = self.jobs[idx].release;
         self.tel.emit(|| TelemetryEvent::JobCompleted {
             t,
