@@ -3,6 +3,7 @@
 use crate::{DeqOnly, Drf, Equi, GreedyFcfs, Las, RandomRr, RoundRobinOnly};
 use krad::KRad;
 use ksim::{Scheduler, SimConfig};
+use ktelemetry::json;
 use std::fmt;
 
 /// Every scheduler the experiments compare, including K-RAD itself.
@@ -98,6 +99,20 @@ impl SchedulerKind {
             SchedulerKind::Drf => "drf",
         }
     }
+
+    /// Parse a [`label`](SchedulerKind::label) back into a kind.
+    pub fn from_label(label: &str) -> Option<SchedulerKind> {
+        SchedulerKind::ALL.into_iter().find(|k| k.label() == label)
+    }
+}
+
+impl json::Wire for SchedulerKind {
+    fn write(&self, out: &mut String) {
+        json::push_str_lit(out, self.label());
+    }
+    fn read(v: &json::Value) -> Result<Self, String> {
+        json::read_label(v, SchedulerKind::from_label)
+    }
 }
 
 impl fmt::Display for SchedulerKind {
@@ -158,5 +173,9 @@ mod tests {
         l.sort_unstable();
         l.dedup();
         assert_eq!(l.len(), SchedulerKind::ALL.len());
+        for k in SchedulerKind::ALL {
+            assert_eq!(SchedulerKind::from_label(k.label()), Some(k));
+        }
+        assert_eq!(SchedulerKind::from_label("K-RAD"), None);
     }
 }

@@ -26,6 +26,7 @@
 //! ratio is written to a `BENCH_*_trace.json` artifact and gated
 //! against a bound (default 1.10).
 
+use kcli::args::{ArgMap, Spec};
 use kdag::SelectionPolicy;
 use krad::KRad;
 use ksim::{simulate, LiveSimulation, SimConfig, SimOutcome, TimePolicy};
@@ -242,33 +243,13 @@ fn render_json(runs: &[SuiteRun]) -> String {
     ])
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let mut iters: u32 = 3;
-    let mut out_path = String::from("BENCH_7.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => iters = 1,
-            "--iters" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => iters = n,
-                _ => {
-                    eprintln!("--iters needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown flag {other}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+fn cmd_run(args: &ArgMap) -> ExitCode {
+    let iters = match (args.flag("smoke"), iters(args, 3)) {
+        (true, _) => 1,
+        (false, Ok(n)) => n,
+        (false, Err(e)) => return usage_error(&e),
+    };
+    let out_path = args.get_or("out", "BENCH_7.json");
 
     let mut runs = Vec::new();
     for spec in pinned_suites() {
@@ -284,7 +265,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         runs.push(run);
     }
     let json = render_json(&runs);
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
@@ -388,61 +369,23 @@ fn median(mut xs: Vec<f64>) -> f64 {
     }
 }
 
-fn cmd_compare(args: &[String]) -> ExitCode {
-    let mut baseline = None;
-    let mut current = None;
-    let mut warn = 0.10f64;
-    let mut fail = 0.30f64;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--baseline" => match it.next() {
-                Some(p) => baseline = Some(p.clone()),
-                None => {
-                    eprintln!("--baseline needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--current" => match it.next() {
-                Some(p) => current = Some(p.clone()),
-                None => {
-                    eprintln!("--current needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--warn" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) => warn = f,
-                None => {
-                    eprintln!("--warn needs a fraction");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--fail" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) => fail = f,
-                None => {
-                    eprintln!("--fail needs a fraction");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown flag {other}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (Some(baseline), Some(current)) = (baseline, current) else {
-        eprintln!("compare needs --baseline and --current\n\n{USAGE}");
-        return ExitCode::FAILURE;
+fn cmd_compare(args: &ArgMap) -> ExitCode {
+    let (Some(baseline), Some(current)) = (args.get("baseline"), args.get("current")) else {
+        return usage_error("compare needs --baseline and --current");
+    };
+    let (warn, fail) = match (args.num("warn", 0.10f64), args.num("fail", 0.30f64)) {
+        (Ok(w), Ok(f)) => (w, f),
+        (Err(e), _) | (_, Err(e)) => return usage_error(&e),
     };
 
-    let base = match load_stats(&baseline) {
+    let base = match load_stats(baseline) {
         Ok(w) => w,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let cur = match load_stats(&current) {
+    let cur = match load_stats(current) {
         Ok(w) => w,
         Err(e) => {
             eprintln!("{e}");
@@ -579,40 +522,12 @@ fn render_trace_json(
     ])
 }
 
-fn cmd_trace(args: &[String]) -> ExitCode {
-    let mut iters: u32 = 15;
-    let mut bound = 1.10f64;
-    let mut out_path = String::from("BENCH_8_trace.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--iters" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => iters = n,
-                _ => {
-                    eprintln!("--iters needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--bound" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) if f > 0.0 => bound = f,
-                _ => {
-                    eprintln!("--bound needs a positive factor");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown flag {other}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+fn cmd_trace(args: &ArgMap) -> ExitCode {
+    let (iters, bound) = match (iters(args, 15), bound(args, 1.10)) {
+        (Ok(n), Ok(b)) => (n, b),
+        (Err(e), _) | (_, Err(e)) => return usage_error(&e),
+    };
+    let out_path = args.get_or("out", "BENCH_8_trace.json");
 
     // Unmeasured warm-up pairs (allocator, caches, frequency
     // scaling), then interleaved off/on pairs so ambient machine
@@ -657,7 +572,7 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     let json = render_trace_json(
         quanta, iters, &p99_off, &p99_on, med_off, med_on, ratio, bound,
     );
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
@@ -773,40 +688,12 @@ fn render_swarm_json(
     ])
 }
 
-fn cmd_swarm(args: &[String]) -> ExitCode {
-    let mut iters: u32 = 5;
-    let mut bound = 1.25f64;
-    let mut out_path = String::from("BENCH_9_swarm.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--iters" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => iters = n,
-                _ => {
-                    eprintln!("--iters needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--bound" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(f) if f > 0.0 => bound = f,
-                _ => {
-                    eprintln!("--bound needs a positive factor");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--out" => match it.next() {
-                Some(p) => out_path = p.clone(),
-                None => {
-                    eprintln!("--out needs a path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown flag {other}\n\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+fn cmd_swarm(args: &ArgMap) -> ExitCode {
+    let (iters, bound) = match (iters(args, 5), bound(args, 1.25)) {
+        (Ok(n), Ok(b)) => (n, b),
+        (Err(e), _) | (_, Err(e)) => return usage_error(&e),
+    };
+    let out_path = args.get_or("out", "BENCH_9_swarm.json");
 
     // Same methodology as the tracing gate: an unmeasured warm-up
     // pair, then interleaved single/multi pairs with best-of-two per
@@ -836,7 +723,7 @@ fn cmd_swarm(args: &[String]) -> ExitCode {
         "swarm overhead ({SWARM_SESSIONS} sessions x {SWARM_JOBS_PER_SESSION} jobs, {iters} iters): p99 {med_single:.1} us single, {med_multi:.1} us multi, ratio {ratio:.3} (bound {bound:.2})"
     );
     let json = render_swarm_json(iters, &single, &multi, med_single, med_multi, ratio, bound);
-    if let Err(e) = std::fs::write(&out_path, &json) {
+    if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
@@ -849,17 +736,57 @@ fn cmd_swarm(args: &[String]) -> ExitCode {
     }
 }
 
+/// `--iters N`: a positive integer.
+fn iters(args: &ArgMap, default: u32) -> Result<u32, String> {
+    match args.num("iters", default) {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err("--iters needs a positive integer".to_string()),
+    }
+}
+
+/// `--bound F`: a positive factor.
+fn bound(args: &ArgMap, default: f64) -> Result<f64, String> {
+    match args.num("bound", default) {
+        Ok(f) if f > 0.0 => Ok(f),
+        _ => Err("--bound needs a positive factor".to_string()),
+    }
+}
+
+fn usage_error(message: &str) -> ExitCode {
+    eprintln!("{message}\n\n{USAGE}");
+    ExitCode::FAILURE
+}
+
+/// A subcommand: the options and flags it accepts, and its body.
+type Command = (Spec, fn(&ArgMap) -> ExitCode);
+
+const COMMANDS: [Command; 4] = [
+    (Spec::new("run", &["iters", "out"], &["smoke"]), cmd_run),
+    (
+        Spec::new("compare", &["baseline", "current", "warn", "fail"], &[]),
+        cmd_compare,
+    ),
+    (
+        Spec::new("trace", &["iters", "bound", "out"], &[]),
+        cmd_trace,
+    ),
+    (
+        Spec::new("swarm", &["iters", "bound", "out"], &[]),
+        cmd_swarm,
+    ),
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("swarm") => cmd_swarm(&args[1..]),
-        _ => {
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = argv.split_first() else {
+        return usage_error("kperf needs a subcommand");
+    };
+    let Some((spec, run)) = COMMANDS.iter().find(|(spec, _)| spec.name == cmd) else {
+        return usage_error(&format!("unknown subcommand '{cmd}'"));
+    };
+    match ArgMap::parse(rest, spec) {
+        Ok(args) => run(&args),
+        Err(e) => usage_error(&e),
     }
 }
 

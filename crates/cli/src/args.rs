@@ -12,34 +12,50 @@ pub struct ArgMap {
     flags: Vec<String>,
 }
 
-/// Option names that are value-less flags.
-const FLAGS: &[&str] = &[
-    "run",
-    "gantt",
-    "timeline",
-    "quick",
-    "telemetry-summary",
-    "watch",
-    "status",
-    "stats",
-    "drain",
-    "verify",
-];
+/// What one subcommand accepts: `--key value` options and bare
+/// `--flag`s. Any other `--name` is an error.
+#[derive(Clone, Copy, Debug)]
+pub struct Spec {
+    /// The subcommand, named in errors.
+    pub name: &'static str,
+    /// Options that take a value.
+    pub options: &'static [&'static str],
+    /// Value-less flags.
+    pub flags: &'static [&'static str],
+}
+
+impl Spec {
+    /// The spec of subcommand `name`.
+    pub const fn new(
+        name: &'static str,
+        options: &'static [&'static str],
+        flags: &'static [&'static str],
+    ) -> Spec {
+        Spec {
+            name,
+            options,
+            flags,
+        }
+    }
+}
 
 impl ArgMap {
-    /// Parse an argv slice (without the subcommand itself).
-    pub fn parse(argv: &[String]) -> Result<ArgMap, String> {
+    /// Parse an argv slice (without the subcommand itself) against the
+    /// subcommand's spec.
+    pub fn parse(argv: &[String], spec: &Spec) -> Result<ArgMap, String> {
         let mut out = ArgMap::default();
         let mut it = argv.iter();
         while let Some(arg) = it.next() {
             if let Some(name) = arg.strip_prefix("--") {
-                if FLAGS.contains(&name) {
+                if spec.flags.contains(&name) {
                     out.flags.push(name.to_string());
-                } else {
+                } else if spec.options.contains(&name) {
                     let value = it
                         .next()
                         .ok_or_else(|| format!("--{name} requires a value"))?;
                     out.options.insert(name.to_string(), value.clone());
+                } else {
+                    return Err(format!("unknown option '--{name}' for '{}'", spec.name));
                 }
             } else {
                 out.positional.push(arg.clone());
@@ -101,9 +117,15 @@ impl ArgMap {
 mod tests {
     use super::*;
 
+    const SPEC: Spec = Spec::new(
+        "test",
+        &["k", "machine", "kind", "out", "seed"],
+        &["gantt", "run"],
+    );
+
     fn parse(parts: &[&str]) -> ArgMap {
         let v: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-        ArgMap::parse(&v).unwrap()
+        ArgMap::parse(&v, &SPEC).unwrap()
     }
 
     #[test]
@@ -119,7 +141,15 @@ mod tests {
     #[test]
     fn missing_value_is_an_error() {
         let v = vec!["--k".to_string()];
-        assert!(ArgMap::parse(&v).is_err());
+        assert!(ArgMap::parse(&v, &SPEC).is_err());
+    }
+
+    #[test]
+    fn unknown_names_are_errors() {
+        for name in ["--gannt", "--quick"] {
+            let err = ArgMap::parse(&[name.to_string()], &SPEC).unwrap_err();
+            assert_eq!(err, format!("unknown option '{name}' for 'test'"));
+        }
     }
 
     #[test]

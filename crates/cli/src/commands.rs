@@ -27,17 +27,11 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 pub(crate) fn parse_scheduler(name: &str) -> Result<SchedulerKind, String> {
-    SchedulerKind::ALL
-        .into_iter()
-        .find(|k| k.label() == name)
-        .ok_or_else(|| format!("unknown scheduler '{name}'"))
+    SchedulerKind::from_label(name).ok_or_else(|| format!("unknown scheduler '{name}'"))
 }
 
 pub(crate) fn parse_policy(name: &str) -> Result<SelectionPolicy, String> {
-    SelectionPolicy::ALL
-        .into_iter()
-        .find(|p| p.name() == name)
-        .ok_or_else(|| format!("unknown policy '{name}'"))
+    SelectionPolicy::from_name(name).ok_or_else(|| format!("unknown policy '{name}'"))
 }
 
 pub(crate) fn parse_time_policy(args: &ArgMap) -> Result<TimePolicy, String> {
@@ -562,11 +556,7 @@ pub fn adversarial(args: &ArgMap) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse(parts: &[&str]) -> ArgMap {
-        let v: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-        ArgMap::parse(&v).unwrap()
-    }
+    use crate::parse_for as parse;
 
     #[test]
     fn scheduler_and_policy_parsing() {
@@ -581,7 +571,7 @@ mod tests {
 
     #[test]
     fn generate_rejects_unknown_kind() {
-        let a = parse(&["--kind", "nope", "--out", "/tmp/x.json"]);
+        let a = parse("generate", &["--kind", "nope", "--out", "/tmp/x.json"]);
         assert!(generate(&a).unwrap_err().contains("unknown --kind"));
     }
 
@@ -590,18 +580,21 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("krad-cmd-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("w.json");
-        let a = parse(&[
-            "--kind",
-            "mix",
-            "--k",
-            "3",
-            "--jobs",
-            "3",
-            "--out",
-            file.to_str().unwrap(),
-        ]);
+        let a = parse(
+            "generate",
+            &[
+                "--kind",
+                "mix",
+                "--k",
+                "3",
+                "--jobs",
+                "3",
+                "--out",
+                file.to_str().unwrap(),
+            ],
+        );
         generate(&a).unwrap();
-        let a = parse(&[file.to_str().unwrap(), "--machine", "4,4"]);
+        let a = parse("bounds", &[file.to_str().unwrap(), "--machine", "4,4"]);
         assert!(bounds(&a).unwrap_err().contains("categories"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -644,13 +637,17 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("w.json");
         let file = file.to_str().unwrap();
-        generate(&parse(&[
-            "--kind", "mix", "--k", "2", "--jobs", "3", "--out", file,
-        ]))
+        generate(&parse(
+            "generate",
+            &["--kind", "mix", "--k", "2", "--jobs", "3", "--out", file],
+        ))
         .unwrap();
         for delta in ["1.5", "NaN", "-0.1"] {
-            let err =
-                simulate_cmd(&parse(&[file, "--machine", "2,2", "--feedback", delta])).unwrap_err();
+            let err = simulate_cmd(&parse(
+                "simulate",
+                &[file, "--machine", "2,2", "--feedback", delta],
+            ))
+            .unwrap_err();
             assert!(
                 err.starts_with("A-Greedy delta must be in [0, 1]"),
                 "{delta}: {err}"
@@ -665,23 +662,28 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("w.json");
         let file = file.to_str().unwrap();
-        generate(&parse(&[
-            "--kind", "mix", "--k", "2", "--jobs", "3", "--out", file,
-        ]))
+        generate(&parse(
+            "generate",
+            &["--kind", "mix", "--k", "2", "--jobs", "3", "--out", file],
+        ))
         .unwrap();
         let trace = dir.join("trace.json");
         let quantum = "quantum must be at least 1";
-        let sim = simulate_cmd(&parse(&[file, "--machine", "2,2", "--quantum", "0"]));
+        let sim = simulate_cmd(&parse(
+            "simulate",
+            &[file, "--machine", "2,2", "--quantum", "0"],
+        ));
         assert_eq!(sim.unwrap_err(), quantum);
-        let tl = timeline(&parse(&[
-            "--out",
-            trace.to_str().unwrap(),
-            "--quantum",
-            "0",
-        ]));
+        let tl = timeline(&parse(
+            "timeline",
+            &["--out", trace.to_str().unwrap(), "--quantum", "0"],
+        ));
         assert_eq!(tl.unwrap_err(), quantum);
         assert!(!trace.exists(), "no trace is written for a refused run");
-        assert_eq!(profile(&parse(&["--quantum", "0"])).unwrap_err(), quantum);
+        assert_eq!(
+            profile(&parse("profile", &["--quantum", "0"])).unwrap_err(),
+            quantum
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -690,28 +692,34 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("krad-cmd2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("w.json");
-        generate(&parse(&[
-            "--kind",
-            "mix",
-            "--k",
-            "2",
-            "--jobs",
-            "5",
-            "--out",
-            file.to_str().unwrap(),
-        ]))
+        generate(&parse(
+            "generate",
+            &[
+                "--kind",
+                "mix",
+                "--k",
+                "2",
+                "--jobs",
+                "5",
+                "--out",
+                file.to_str().unwrap(),
+            ],
+        ))
         .unwrap();
-        let out = simulate_cmd(&parse(&[
-            file.to_str().unwrap(),
-            "--machine",
-            "3,2",
-            "--quantum",
-            "4",
-            "--feedback",
-            "0.8",
-            "--json",
-            dir.join("o.json").to_str().unwrap(),
-        ]))
+        let out = simulate_cmd(&parse(
+            "simulate",
+            &[
+                file.to_str().unwrap(),
+                "--machine",
+                "3,2",
+                "--quantum",
+                "4",
+                "--feedback",
+                "0.8",
+                "--json",
+                dir.join("o.json").to_str().unwrap(),
+            ],
+        ))
         .unwrap();
         assert!(out.contains("quantum 4"));
         assert!(out.contains("a-greedy"));
@@ -728,26 +736,32 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("krad-cmd3-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("w.json");
-        generate(&parse(&[
-            "--kind",
-            "mix",
-            "--k",
-            "2",
-            "--jobs",
-            "8",
-            "--out",
-            file.to_str().unwrap(),
-        ]))
+        generate(&parse(
+            "generate",
+            &[
+                "--kind",
+                "mix",
+                "--k",
+                "2",
+                "--jobs",
+                "8",
+                "--out",
+                file.to_str().unwrap(),
+            ],
+        ))
         .unwrap();
         let events_path = dir.join("events.jsonl");
-        let out = simulate_cmd(&parse(&[
-            file.to_str().unwrap(),
-            "--machine",
-            "2,2",
-            "--telemetry",
-            events_path.to_str().unwrap(),
-            "--telemetry-summary",
-        ]))
+        let out = simulate_cmd(&parse(
+            "simulate",
+            &[
+                file.to_str().unwrap(),
+                "--machine",
+                "2,2",
+                "--telemetry",
+                events_path.to_str().unwrap(),
+                "--telemetry-summary",
+            ],
+        ))
         .unwrap();
         assert!(out.contains("telemetry events to"), "{out}");
         assert!(out.contains("telemetry summary"), "{out}");
@@ -768,13 +782,13 @@ mod tests {
 
     #[test]
     fn profile_prints_a_phase_breakdown() {
-        let out = profile(&parse(&["--kind", "t12"])).unwrap();
+        let out = profile(&parse("profile", &["--kind", "t12"])).unwrap();
         assert!(out.contains("t12-stress"), "{out}");
         assert!(out.contains("ready"), "{out}");
         assert!(out.contains("decide"), "{out}");
         assert!(out.contains("execute"), "{out}");
         assert!(out.contains("accounted to phases"), "{out}");
-        assert!(profile(&parse(&["--kind", "nope"]))
+        assert!(profile(&parse("profile", &["--kind", "nope"]))
             .unwrap_err()
             .contains("unknown --kind"));
     }
@@ -784,12 +798,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("krad-cmd4-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("trace.json");
-        let out = timeline(&parse(&[
-            "--kind",
-            "large-dag",
-            "--out",
-            trace_path.to_str().unwrap(),
-        ]))
+        let out = timeline(&parse(
+            "timeline",
+            &["--kind", "large-dag", "--out", trace_path.to_str().unwrap()],
+        ))
         .unwrap();
         assert!(out.contains("wrote Chrome trace"), "{out}");
         let text = std::fs::read_to_string(&trace_path).unwrap();
@@ -801,7 +813,8 @@ mod tests {
 
     #[test]
     fn adversarial_without_run_prints_metadata_only() {
-        let out = adversarial(&parse(&["--k", "3", "--p", "2", "--m", "2"])).unwrap();
+        let out =
+            adversarial(&parse("adversarial", &["--k", "3", "--p", "2", "--m", "2"])).unwrap();
         assert!(out.contains("T* ="));
         assert!(!out.contains("ratio"));
     }

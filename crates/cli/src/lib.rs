@@ -20,35 +20,98 @@ pub mod args;
 pub mod commands;
 pub mod service;
 
+use args::Spec;
+use std::io::{self, Write};
+use std::process::ExitCode;
+
+/// A subcommand's handler.
+type Handler = fn(&args::ArgMap) -> Result<String, String>;
+
+/// Every subcommand: its name, the `--options` (taking a value) and
+/// `--flags` it accepts, and the function that runs it.
+#[rustfmt::skip]
+const COMMANDS: &[(Spec, Handler)] = &[
+    (Spec::new("generate", &["kind", "k", "jobs", "seed", "mean-size", "trace", "arrivals", "out"], &[]),
+        commands::generate),
+    (Spec::new("inspect", &[], &[]), commands::inspect),
+    (Spec::new("bounds", &["machine"], &[]), commands::bounds),
+    (Spec::new("simulate", &["machine", "scheduler", "policy", "quantum", "time-policy", "feedback",
+            "seed", "svg", "json", "telemetry"], &["gantt", "timeline", "telemetry-summary"]),
+        commands::simulate_cmd),
+    (Spec::new("compare", &["machine", "policy", "seed"], &[]), commands::compare),
+    (Spec::new("verify", &["machine", "policy", "seed"], &[]), commands::verify),
+    (Spec::new("adversarial", &["k", "p", "m"], &["run"]), commands::adversarial),
+    (Spec::new("profile", &["kind", "quantum", "time-policy"], &[]), commands::profile),
+    (Spec::new("timeline", &["out", "kind", "scheduler", "quantum", "time-policy", "seed"], &[]),
+        commands::timeline),
+    (Spec::new("serve", &["machine", "scheduler", "policy", "quantum", "time-policy", "seed",
+            "queue-capacity", "max-inflight", "tick-ms", "addr", "unix", "metrics-addr",
+            "flight-capacity", "flight-dump", "journal-dir", "fsync", "snapshot-every",
+            "slo-factor", "workers", "session-rate", "session-burst"], &[]),
+        service::serve),
+    (Spec::new("session", &["addr", "scheduler", "policy", "quantum", "seed", "queue-capacity",
+            "max-inflight", "rate", "burst", "trace-out"], &["verify"]),
+        service::session),
+    (Spec::new("submit", &["addr", "session", "scenario", "jobs", "seed", "cancel", "trace-out"],
+            &["watch", "status", "stats", "drain", "verify"]),
+        service::submit),
+    (Spec::new("loadgen", &["addr", "clients", "jobs", "chunk", "arrivals", "seed", "k", "mean-size",
+            "pace-ms", "stats-out", "sessions"], &[]),
+        service::loadgen),
+    (Spec::new("stats", &["addr", "session", "interval-ms", "count"], &["watch"]), service::stats),
+    (Spec::new("metrics", &["addr"], &[]), service::metrics),
+    (Spec::new("trace", &["addr", "session", "flight", "job"], &[]), service::trace),
+    (Spec::new("flight", &["trace"], &[]), service::flight),
+    (Spec::new("journal", &[], &[]), service::journal),
+    (Spec::new("recover", &[], &[]), service::recover),
+];
+
+/// The [`COMMANDS`] entry named `name`.
+fn command(name: &str) -> Option<&'static (Spec, Handler)> {
+    COMMANDS.iter().find(|(spec, _)| spec.name == name)
+}
+
 /// Top-level dispatch: returns the text to print, or a usage error.
 pub fn run(argv: &[String]) -> Result<String, String> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Err(usage());
     };
-    let args = args::ArgMap::parse(rest)?;
-    match cmd.as_str() {
-        "generate" => commands::generate(&args),
-        "inspect" => commands::inspect(&args),
-        "bounds" => commands::bounds(&args),
-        "simulate" => commands::simulate_cmd(&args),
-        "compare" => commands::compare(&args),
-        "verify" => commands::verify(&args),
-        "adversarial" => commands::adversarial(&args),
-        "profile" => commands::profile(&args),
-        "timeline" => commands::timeline(&args),
-        "serve" => service::serve(&args),
-        "session" => service::session(&args),
-        "submit" => service::submit(&args),
-        "loadgen" => service::loadgen(&args),
-        "stats" => service::stats(&args),
-        "metrics" => service::metrics(&args),
-        "trace" => service::trace(&args),
-        "flight" => service::flight(&args),
-        "journal" => service::journal(&args),
-        "recover" => service::recover(&args),
-        "--help" | "-h" | "help" => Ok(usage()),
-        other => Err(format!("unknown subcommand '{other}'\n\n{}", usage())),
+    if matches!(cmd.as_str(), "--help" | "-h" | "help") {
+        return Ok(usage());
     }
+    let (spec, handler) =
+        command(cmd).ok_or_else(|| format!("unknown subcommand '{cmd}'\n\n{}", usage()))?;
+    handler(&args::ArgMap::parse(rest, spec)?)
+}
+
+/// The `krad` entry point: run `argv` and print its text to stdout, or
+/// its error to stderr. A reader that stops early (`krad … | head`) is
+/// not an error.
+pub fn main(argv: &[String]) -> ExitCode {
+    match run(argv) {
+        Ok(text) => {
+            let mut out = io::stdout().lock();
+            match writeln!(out, "{text}").and_then(|()| out.flush()) {
+                Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+                    eprintln!("krad: {e}");
+                    ExitCode::FAILURE
+                }
+                _ => ExitCode::SUCCESS,
+            }
+        }
+        Err(msg) => {
+            eprintln!("{msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Parse `parts` as the arguments of subcommand `cmd`.
+#[cfg(test)]
+pub(crate) fn parse_for(cmd: &str, parts: &[&str]) -> args::ArgMap {
+    let (spec, _) = command(cmd).unwrap();
+    let argv: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
+    args::ArgMap::parse(&argv, spec).unwrap()
 }
 
 /// The usage text.
@@ -119,6 +182,44 @@ mod tests {
         let err = run(&sv(&["frobnicate"])).unwrap_err();
         assert!(err.contains("unknown subcommand"));
         assert!(run(&[]).is_err());
+    }
+
+    #[test]
+    fn misspelled_options_are_refused() {
+        let err = run(&sv(&[
+            "simulate",
+            "w.json",
+            "--machine",
+            "3,2",
+            "--schedular",
+            "equi",
+        ]))
+        .unwrap_err();
+        assert_eq!(err, "unknown option '--schedular' for 'simulate'");
+        let err = run(&sv(&["inspect", "w.json", "--bogus", "1"])).unwrap_err();
+        assert!(err.contains("'--bogus'"), "{err}");
+    }
+
+    #[test]
+    fn every_option_in_the_usage_is_accepted_by_its_subcommand() {
+        let text = usage();
+        let mut checked = 0;
+        for block in text.split("\n  krad ").skip(1) {
+            let name = block.split_whitespace().next().unwrap();
+            let (spec, _) =
+                command(name).unwrap_or_else(|| panic!("usage shows unknown subcommand '{name}'"));
+            let block = block.split("\n\n").next().unwrap();
+            for word in block.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if let Some(option) = word.strip_prefix("--") {
+                    assert!(
+                        spec.options.contains(&option) || spec.flags.contains(&option),
+                        "'{name}' refuses --{option}, which its usage shows"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 80, "only {checked} options found in the usage");
     }
 
     #[test]

@@ -1,17 +1,6 @@
-//! The `krad` binary: thin wrapper over [`kcli::run`].
+//! The `krad` binary: thin wrapper over [`kcli::main`].
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
+fn main() -> std::process::ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match kcli::run(&argv) {
-        Ok(text) => {
-            println!("{text}");
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
-    }
+    kcli::main(&argv)
 }

@@ -760,27 +760,26 @@ pub fn loadgen(args: &ArgMap) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse_for as parse;
     use kbaselines::SchedulerKind;
-
-    fn parse(parts: &[&str]) -> ArgMap {
-        let v: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
-        ArgMap::parse(&v).unwrap()
-    }
 
     #[test]
     fn server_config_parses() {
-        let cfg = server_config(&parse(&[
-            "--machine",
-            "4,2",
-            "--scheduler",
-            "equi",
-            "--policy",
-            "lifo",
-            "--quantum",
-            "3",
-            "--queue-capacity",
-            "9",
-        ]))
+        let cfg = server_config(&parse(
+            "serve",
+            &[
+                "--machine",
+                "4,2",
+                "--scheduler",
+                "equi",
+                "--policy",
+                "lifo",
+                "--quantum",
+                "3",
+                "--queue-capacity",
+                "9",
+            ],
+        ))
         .unwrap();
         assert_eq!(cfg.machine, vec![4, 2]);
         assert_eq!(cfg.scheduler, SchedulerKind::Equi);
@@ -788,19 +787,26 @@ mod tests {
         assert_eq!(cfg.queue_capacity, 9);
         assert_eq!(cfg.metrics_addr, None);
         assert_eq!(cfg.flight_dump, None);
-        assert!(server_config(&parse(&[])).is_err());
-        assert!(server_config(&parse(&["--machine", "4,2", "--scheduler", "nope"])).is_err());
+        assert!(server_config(&parse("serve", &[])).is_err());
+        assert!(server_config(&parse(
+            "serve",
+            &["--machine", "4,2", "--scheduler", "nope"]
+        ))
+        .is_err());
 
-        let cfg = server_config(&parse(&[
-            "--machine",
-            "2",
-            "--metrics-addr",
-            "127.0.0.1:0",
-            "--flight-capacity",
-            "128",
-            "--flight-dump",
-            "/tmp/f.jsonl",
-        ]))
+        let cfg = server_config(&parse(
+            "serve",
+            &[
+                "--machine",
+                "2",
+                "--metrics-addr",
+                "127.0.0.1:0",
+                "--flight-capacity",
+                "128",
+                "--flight-dump",
+                "/tmp/f.jsonl",
+            ],
+        ))
         .unwrap();
         assert_eq!(cfg.metrics_addr.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(cfg.flight_capacity, 128);
@@ -809,31 +815,37 @@ mod tests {
 
     #[test]
     fn server_config_parses_journal_flags() {
-        let cfg = server_config(&parse(&["--machine", "4,2"])).unwrap();
+        let cfg = server_config(&parse("serve", &["--machine", "4,2"])).unwrap();
         assert_eq!(cfg.journal_dir, None);
 
-        let cfg = server_config(&parse(&[
-            "--machine",
-            "4,2",
-            "--journal-dir",
-            "/tmp/j",
-            "--fsync",
-            "always",
-            "--snapshot-every",
-            "64",
-        ]))
+        let cfg = server_config(&parse(
+            "serve",
+            &[
+                "--machine",
+                "4,2",
+                "--journal-dir",
+                "/tmp/j",
+                "--fsync",
+                "always",
+                "--snapshot-every",
+                "64",
+            ],
+        ))
         .unwrap();
         assert_eq!(cfg.journal_dir.as_deref(), Some(Path::new("/tmp/j")));
         assert_eq!(cfg.fsync, FsyncPolicy::Always);
         assert_eq!(cfg.snapshot_every, 64);
         assert_eq!(
-            server_config(&parse(&["--machine", "4,2", "--fsync", "interval:5"]))
-                .unwrap()
-                .fsync
-                .label(),
+            server_config(&parse(
+                "serve",
+                &["--machine", "4,2", "--fsync", "interval:5"]
+            ))
+            .unwrap()
+            .fsync
+            .label(),
             "interval:5"
         );
-        assert!(server_config(&parse(&["--machine", "4,2", "--fsync", "nope"])).is_err());
+        assert!(server_config(&parse("serve", &["--machine", "4,2", "--fsync", "nope"])).is_err());
     }
 
     #[test]
@@ -852,33 +864,29 @@ mod tests {
         .expect("server starts");
         let addr = server.addr().to_string();
 
-        let out = submit(&parse(&[
-            "--addr",
-            &addr,
-            "--scenario",
-            "pipeline",
-            "--jobs",
-            "3",
-        ]))
+        let out = submit(&parse(
+            "submit",
+            &["--addr", &addr, "--scenario", "pipeline", "--jobs", "3"],
+        ))
         .unwrap();
         assert!(out.contains("submitted 3 jobs"), "{out}");
 
-        let out = stats(&parse(&["--addr", &addr])).unwrap();
+        let out = stats(&parse("stats", &["--addr", &addr])).unwrap();
         assert!(out.contains("durability"), "{out}");
         assert!(out.contains("wal:never"), "{out}");
         assert!(out.contains("journal records"), "{out}");
 
-        let out = submit(&parse(&["--addr", &addr, "--drain", "--verify"])).unwrap();
+        let out = submit(&parse("submit", &["--addr", &addr, "--drain", "--verify"])).unwrap();
         assert!(out.contains("replay verified"), "{out}");
         server.join();
 
         let snap = jdir.join("snap.kj");
-        let out = journal(&parse(&["inspect", snap.to_str().unwrap()])).unwrap();
+        let out = journal(&parse("journal", &["inspect", snap.to_str().unwrap()])).unwrap();
         assert!(out.contains("journal file: snap.kj"), "{out}");
         assert!(out.contains("session-open"), "{out}");
-        assert!(journal(&parse(&["inspect"])).is_err());
+        assert!(journal(&parse("journal", &["inspect"])).is_err());
 
-        let out = recover(&parse(&[jdir.to_str().unwrap()])).unwrap();
+        let out = recover(&parse("recover", &[jdir.to_str().unwrap()])).unwrap();
         assert!(out.contains("recovered session image"), "{out}");
         assert!(out.contains("k-rad"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
@@ -910,32 +918,31 @@ mod tests {
         .expect("server starts");
         let addr = server.addr().to_string();
 
-        let out = submit(&parse(&[
-            "--addr",
-            &addr,
-            "--scenario",
-            "pipeline",
-            "--jobs",
-            "3",
-        ]))
+        let out = submit(&parse(
+            "submit",
+            &["--addr", &addr, "--scenario", "pipeline", "--jobs", "3"],
+        ))
         .unwrap();
         assert!(out.contains("submitted 3 jobs"), "{out}");
 
         let dir = std::env::temp_dir().join(format!("kcli-loadgen-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let stats_path = dir.join("loadgen-stats.json");
-        let out = loadgen(&parse(&[
-            "--addr",
-            &addr,
-            "--clients",
-            "2",
-            "--jobs",
-            "6",
-            "--chunk",
-            "3",
-            "--stats-out",
-            stats_path.to_str().unwrap(),
-        ]))
+        let out = loadgen(&parse(
+            "loadgen",
+            &[
+                "--addr",
+                &addr,
+                "--clients",
+                "2",
+                "--jobs",
+                "6",
+                "--chunk",
+                "3",
+                "--stats-out",
+                stats_path.to_str().unwrap(),
+            ],
+        ))
         .unwrap();
         assert!(out.contains("throughput"), "{out}");
         assert!(out.contains("wrote before/after server stats"), "{out}");
@@ -954,17 +961,17 @@ mod tests {
         assert!(doc["after"]["response_mean_steps"].as_f64().is_some());
         std::fs::remove_dir_all(&dir).ok();
 
-        let out = submit(&parse(&["--addr", &addr, "--stats"])).unwrap();
+        let out = submit(&parse("submit", &["--addr", &addr, "--stats"])).unwrap();
         assert!(out.contains("admitted"), "{out}");
 
         // The session has completions by now, so the live trace verb
         // can render job 0's span tree end to end.
-        let out = trace(&parse(&["--addr", &addr, "0"])).unwrap();
+        let out = trace(&parse("trace", &["--addr", &addr, "0"])).unwrap();
         assert!(out.contains("job 0 ["), "{out}");
         assert!(out.contains("wait"), "{out}");
-        assert!(trace(&parse(&["--addr", &addr, "99999"])).is_err());
+        assert!(trace(&parse("trace", &["--addr", &addr, "99999"])).is_err());
 
-        let out = submit(&parse(&["--addr", &addr, "--drain", "--verify"])).unwrap();
+        let out = submit(&parse("submit", &["--addr", &addr, "--drain", "--verify"])).unwrap();
         assert!(out.contains("replay verified"), "{out}");
         server.join();
     }
@@ -987,70 +994,77 @@ mod tests {
         let addr = server.addr().to_string();
         assert!(server.metrics_addr().is_some());
 
-        let out = submit(&parse(&[
-            "--addr",
-            &addr,
-            "--scenario",
-            "pipeline",
-            "--jobs",
-            "4",
-        ]))
+        let out = submit(&parse(
+            "submit",
+            &["--addr", &addr, "--scenario", "pipeline", "--jobs", "4"],
+        ))
         .unwrap();
         assert!(out.contains("submitted 4 jobs"), "{out}");
 
-        let out = stats(&parse(&["--addr", &addr])).unwrap();
+        let out = stats(&parse("stats", &["--addr", &addr])).unwrap();
         assert!(out.contains("uptime (s)"), "{out}");
         assert!(out.contains("p95 quantum latency"), "{out}");
 
-        let out = stats(&parse(&[
-            "--addr",
-            &addr,
-            "--watch",
-            "--interval-ms",
-            "1",
-            "--count",
-            "2",
-        ]))
+        let out = stats(&parse(
+            "stats",
+            &[
+                "--addr",
+                &addr,
+                "--watch",
+                "--interval-ms",
+                "1",
+                "--count",
+                "2",
+            ],
+        ))
         .unwrap();
         assert!(out.contains("quanta"), "{out}");
 
-        let out = metrics(&parse(&["--addr", &addr])).unwrap();
+        let out = metrics(&parse("metrics", &["--addr", &addr])).unwrap();
         assert!(out.contains("krad_quanta_total"), "{out}");
         assert!(out.contains("krad_mode_residency_seconds"), "{out}");
 
-        let out = submit(&parse(&[
-            "--addr",
-            &addr,
-            "--drain",
-            "--trace-out",
-            trace_path.to_str().unwrap(),
-        ]))
+        let out = submit(&parse(
+            "submit",
+            &[
+                "--addr",
+                &addr,
+                "--drain",
+                "--trace-out",
+                trace_path.to_str().unwrap(),
+            ],
+        ))
         .unwrap();
         assert!(out.contains("session trace written"), "{out}");
         server.join();
 
         // Offline trace assembly from the same dump: whole-session
         // lifecycle table, then one job's span tree.
-        let out = trace(&parse(&["--flight", dump.to_str().unwrap()])).unwrap();
+        let out = trace(&parse("trace", &["--flight", dump.to_str().unwrap()])).unwrap();
         assert!(out.contains("per-job lifecycle"), "{out}");
-        let out = trace(&parse(&["--flight", dump.to_str().unwrap(), "--job", "0"])).unwrap();
+        let out = trace(&parse(
+            "trace",
+            &["--flight", dump.to_str().unwrap(), "--job", "0"],
+        ))
+        .unwrap();
         assert!(out.contains("job 0"), "{out}");
-        assert!(trace(&parse(&[
-            "--flight",
-            dump.to_str().unwrap(),
-            "--job",
-            "999"
-        ]))
+        assert!(trace(&parse(
+            "trace",
+            &["--flight", dump.to_str().unwrap(), "--job", "999"]
+        ))
         .is_err());
 
         // Summary alone, then summary + byte-for-byte replay check.
-        let out = flight(&parse(&[dump.to_str().unwrap()])).unwrap();
+        let out = flight(&parse("flight", &[dump.to_str().unwrap()])).unwrap();
         assert!(out.contains("events retained"), "{out}");
-        let out = flight(&parse(&[
-            dump.to_str().unwrap(),
-            "--trace",
-            trace_path.to_str().unwrap(),
-        ]))
+        let out = flight(&parse(
+            "flight",
+            &[
+                dump.to_str().unwrap(),
+                "--trace",
+                trace_path.to_str().unwrap(),
+            ],
+        ))
         .unwrap();
         assert!(out.contains("flight verified"), "{out}");
         std::fs::remove_dir_all(&dir).ok();

@@ -7,6 +7,7 @@
 //! deliberately runs critical-path tasks *last*. These policies are
 //! therefore allowed to be clairvoyant (they may inspect task heights).
 
+use ktelemetry::json;
 use std::fmt;
 
 /// Policy for choosing which ready tasks execute when a job receives
@@ -49,6 +50,20 @@ impl SelectionPolicy {
             SelectionPolicy::CriticalLast => "critical-last",
         }
     }
+
+    /// Parse a [`name`](SelectionPolicy::name) back into a policy.
+    pub fn from_name(name: &str) -> Option<SelectionPolicy> {
+        SelectionPolicy::ALL.into_iter().find(|p| p.name() == name)
+    }
+}
+
+impl json::Wire for SelectionPolicy {
+    fn write(&self, out: &mut String) {
+        json::push_str_lit(out, self.name());
+    }
+    fn read(v: &json::Value) -> Result<Self, String> {
+        json::read_label(v, SelectionPolicy::from_name)
+    }
 }
 
 impl fmt::Display for SelectionPolicy {
@@ -67,6 +82,10 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), SelectionPolicy::ALL.len());
+        for p in SelectionPolicy::ALL {
+            assert_eq!(SelectionPolicy::from_name(p.name()), Some(p));
+        }
+        assert_eq!(SelectionPolicy::from_name("FIFO"), None);
     }
 
     #[test]

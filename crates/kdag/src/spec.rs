@@ -12,7 +12,7 @@ use crate::category::Category;
 use crate::dag::JobDag;
 use crate::error::DagError;
 use crate::ids::TaskId;
-use ktelemetry::json::{need_arr, need_u64, Value};
+use ktelemetry::json::{self, need_arr, need_u64, Value};
 
 /// A serializable, not-yet-validated description of a K-DAG.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -106,6 +106,15 @@ impl DagSpec {
             categories,
             edges,
         })
+    }
+}
+
+impl json::Wire for DagSpec {
+    fn write(&self, out: &mut String) {
+        self.to_json().push_compact(out);
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        DagSpec::from_json(v)
     }
 }
 

@@ -6,29 +6,40 @@
 //!
 //! Encoding is canonical — fixed field order, no whitespace — so a
 //! reply can be compared byte-for-byte (the replay bridge relies on
-//! this for completion vectors).
+//! this for completion vectors). Each message's fields are declared
+//! once, in wire order, with [`ktelemetry::schema!`]; that one list
+//! drives both encode and decode.
 
 use crate::replay::SessionTrace;
 use kdag::DagSpec;
 use ksim::Time;
-use ktelemetry::json::{self, need_arr, need_str, need_u64, Value};
+use ktelemetry::json::{self, Value};
+use ktelemetry::schema;
 use ktelemetry::{ExecSegment, JobTrace, TraceStamps};
 
 /// Wire-protocol version, reported in `hello` and `stats` replies.
 ///
+/// Every message is declared once with [`ktelemetry::schema!`] and
+/// decoded by one rule: an absent field takes its declared default (or
+/// is an error if required), a present field of the wrong type or out
+/// of range is an error naming the field, and an unknown key is
+/// ignored. Each version below only added fields, each defaulted or
+/// omitted-when-empty with the value an older peer meant by leaving it
+/// out, so every older line is a valid current line.
+///
 /// Version history:
 /// * **1** — the original verb set (implicit: replies carry no
-///   `"version"` field; decoders treat its absence as 1).
+///   `"version"` field, which defaults to 1).
 /// * **2** — adds the `hello` verb, the `"version"` field on
 ///   `hello`/`stats`, and `"time_policy"` on `stats`.
 /// * **3** — adds `"durability"` on `hello` and the journal health
 ///   fields (`"durability"`, `"journal_*"`, `"last_recovery_ms"`) on
-///   `stats`. All decode tolerantly: absent means journaling off.
+///   `stats`. Absent, they mean journaling off.
 /// * **4** — ktrace: adds the `trace` verb (per-job span tree),
 ///   `"trace_ids"` on `submitted` replies, `"trace_id"` on `job_done`
 ///   events, and the response-time/slowdown fields (`"response_*"`,
-///   `"slowdown_*"`) on `stats`. All decode tolerantly: absent means
-///   a pre-tracing server.
+///   `"slowdown_*"`) on `stats`. Absent, they mean a pre-tracing
+///   server.
 /// * **5** — kswarm multi-tenancy: adds the `open`/`close` verb pair
 ///   (named sessions with per-session scheduler/quota overrides), an
 ///   optional `"session"` field on `submit`/`status`/`stats`/
@@ -164,13 +175,13 @@ impl JobState {
         }
     }
 
-    fn from_name(s: &str) -> Result<JobState, String> {
-        Ok(match s {
+    fn from_name(s: &str) -> Option<JobState> {
+        Some(match s {
             "queued" => JobState::Queued,
             "cancelled" => JobState::Cancelled,
             "running" => JobState::Running,
             "done" => JobState::Done,
-            other => return Err(format!("unknown job state '{other}'")),
+            _ => return None,
         })
     }
 }
@@ -479,642 +490,205 @@ pub enum Event {
     WatchEnd,
 }
 
-/// Append a [`DrainReply`]'s canonical field run (`"admitted"` …
-/// `"trace"`, no surrounding braces) — shared by the `drained` and
-/// `closed` encodings so both stay byte-identical per field.
-fn push_drain_fields(s: &mut String, d: &DrainReply) {
-    s.push_str(&format!(
-        "\"admitted\":{},\"completed\":{},\"cancelled\":{},\"rejected\":{},\"trace\":",
-        d.admitted, d.completed, d.cancelled, d.rejected
-    ));
-    s.push_str(&d.trace.encode());
-}
+schema!(ScenarioRef {
+    name: req,
+    jobs: req,
+    seed: req
+});
 
-/// Decode a [`DrainReply`]'s field run from a parsed object.
-fn decode_drain_fields(v: &Value) -> Result<DrainReply, String> {
-    Ok(DrainReply {
-        admitted: need_u64(v, "admitted")?,
-        completed: need_u64(v, "completed")?,
-        cancelled: need_u64(v, "cancelled")?,
-        rejected: need_u64(v, "rejected")?,
-        trace: SessionTrace::decode_value(v.get("trace").ok_or("missing field 'trace'")?)?,
-    })
-}
+schema!(SessionSpec {
+    scheduler: omit,
+    policy: omit,
+    quantum: omit,
+    seed: omit,
+    queue_capacity: omit,
+    max_inflight: omit,
+    rate_per_sec: omit,
+    burst: omit,
+});
 
-/// Tolerantly decode an optional `f64` array field (absent or
-/// malformed entries → empty / 0.0).
-fn decode_f64_arr(v: &Value, key: &str) -> Vec<f64> {
-    let arr = v[key].as_arr().unwrap_or_default();
-    arr.iter().map(|x| x.as_f64().unwrap_or(0.0)).collect()
-}
+schema!(Request by "cmd" {
+    Submit "submit" { jobs: omit, scenario: omit, watch: omit, session: omit },
+    Hello "hello" {},
+    Status "status" { session: omit },
+    Stats "stats" { session: omit },
+    Metrics "metrics" {},
+    Cancel "cancel" { job: req, session: omit },
+    Trace "trace" { job: req, session: omit },
+    Open "open" { session: req, spec: flat },
+    Close "close" { session: req },
+    Drain "drain" { session: omit },
+});
 
-/// Append `,"session":"<name>"` when the session is not the implicit
-/// default — so v5 request lines targeting `default` are bytewise the
-/// v4 lines.
-fn push_session(s: &mut String, session: &str) {
-    if !session.is_empty() {
-        s.push_str(",\"session\":");
-        json::push_str_lit(s, session);
+impl json::Wire for JobState {
+    fn write(&self, out: &mut String) {
+        json::push_str_lit(out, self.name());
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        json::read_label(v, JobState::from_name)
     }
 }
 
-/// Tolerantly decode the optional `"session"` field (absent → empty,
-/// meaning the implicit default session).
-fn decode_session(v: &Value) -> String {
-    v["session"].as_str().unwrap_or_default().to_string()
-}
+schema!(JobStatus {
+    job: req,
+    state: req,
+    release: omit,
+    completion: omit
+});
+
+schema!(HelloReply {
+    version: def(1),
+    scheduler: def,
+    time_policy: def,
+    quantum: def(1),
+    now: def,
+    durability: def("off".to_string()),
+});
+
+schema!(StatusReply {
+    now: req,
+    queued: req,
+    active: req,
+    draining: def,
+    jobs: req
+});
+
+schema!(StatsReply {
+    admitted: req,
+    rejected: req,
+    completed: req,
+    cancelled: req,
+    queue_depth: req,
+    max_queue_depth: req,
+    now: req,
+    busy_steps: req,
+    idle_steps: req,
+    quanta: req,
+    quantum_latency_mean_us: req,
+    quantum_latency_p50_us: def,
+    quantum_latency_p95_us: def,
+    quantum_latency_p99_us: def,
+    uptime_secs: def,
+    phase_ready_mean_us: def,
+    phase_decide_mean_us: def,
+    phase_deq_allot_mean_us: def,
+    phase_rr_cycle_mean_us: def,
+    phase_execute_mean_us: def,
+    scheduler: def,
+    version: def(1),
+    time_policy: def,
+    durability: def("off".to_string()),
+    journal_records: def,
+    journal_bytes: def,
+    journal_fsyncs: def,
+    journal_snapshots: def,
+    journal_tail_records: def,
+    last_recovery_ms: def,
+    response_jobs: def,
+    response_mean_steps: def,
+    response_p99_steps: def,
+    slowdown_mean_milli: def,
+    slowdown_p99_milli: def,
+    response_mean_steps_by_cat: def,
+    slowdown_mean_milli_by_cat: def,
+    session: def,
+    sessions: def,
+});
+
+schema!(TraceReply {
+    job: req,
+    trace_id: def,
+    state: req,
+    release: omit,
+    activated: omit,
+    first_allot: omit,
+    segments: def,
+    completion: omit,
+    response: omit,
+    submit_ns: omit,
+    admit_ns: omit,
+    inject_ns: omit,
+    complete_ns: omit,
+});
+
+schema!(DrainReply {
+    admitted: req,
+    completed: req,
+    cancelled: req,
+    rejected: req,
+    trace: req
+});
+
+schema!(Response by "reply" {
+    Submitted "submitted" { jobs: req, trace_ids: omit },
+    Rejected "rejected" { reason: req, queue_depth: req, capacity: req },
+    Hello "hello" (flat),
+    Status "status" (flat),
+    Stats "stats" (flat),
+    Metrics "metrics" { text: req },
+    Cancelled "cancelled" { job: req },
+    Trace "trace" (flat),
+    Opened "opened" { session: req, scheduler: def, time_policy: def, quantum: def(1), existing: def },
+    Closed "closed" { session: req, report: flat },
+    Drained "drained" (flat),
+    Error "error" { message: req },
+});
+
+schema!(Event by "event" {
+    JobDone "job_done" { job: req, release: req, completion: req, response: req, trace_id: omit },
+    JobCancelled "job_cancelled" { job: req },
+    WatchEnd "watch_end" {},
+});
 
 impl Request {
     /// Canonical one-line encoding.
     pub fn encode(&self) -> String {
-        let mut s = String::new();
-        match self {
-            Request::Submit {
-                jobs,
-                scenario,
-                watch,
-                session,
-            } => {
-                s.push_str("{\"cmd\":\"submit\"");
-                if !jobs.is_empty() {
-                    s.push_str(",\"jobs\":[");
-                    for (i, dag) in jobs.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        dag.to_json().push_compact(&mut s);
-                    }
-                    s.push(']');
-                }
-                if let Some(sc) = scenario {
-                    s.push_str(",\"scenario\":{\"name\":");
-                    json::push_str_lit(&mut s, &sc.name);
-                    s.push_str(",\"jobs\":");
-                    s.push_str(&sc.jobs.to_string());
-                    s.push_str(",\"seed\":");
-                    s.push_str(&sc.seed.to_string());
-                    s.push('}');
-                }
-                if *watch {
-                    s.push_str(",\"watch\":true");
-                }
-                push_session(&mut s, session);
-                s.push('}');
-            }
-            Request::Hello => s.push_str("{\"cmd\":\"hello\"}"),
-            Request::Status { session } => {
-                s.push_str("{\"cmd\":\"status\"");
-                push_session(&mut s, session);
-                s.push('}');
-            }
-            Request::Stats { session } => {
-                s.push_str("{\"cmd\":\"stats\"");
-                push_session(&mut s, session);
-                s.push('}');
-            }
-            Request::Metrics => s.push_str("{\"cmd\":\"metrics\"}"),
-            Request::Cancel { job, session } => {
-                s.push_str("{\"cmd\":\"cancel\",\"job\":");
-                s.push_str(&job.to_string());
-                push_session(&mut s, session);
-                s.push('}');
-            }
-            Request::Trace { job, session } => {
-                s.push_str("{\"cmd\":\"trace\",\"job\":");
-                s.push_str(&job.to_string());
-                push_session(&mut s, session);
-                s.push('}');
-            }
-            Request::Open { session, spec } => {
-                s.push_str("{\"cmd\":\"open\",\"session\":");
-                json::push_str_lit(&mut s, session);
-                let opt_u64 = |s: &mut String, key: &str, v: Option<u64>| {
-                    if let Some(v) = v {
-                        s.push_str(&format!(",\"{key}\":{v}"));
-                    }
-                };
-                if let Some(x) = &spec.scheduler {
-                    s.push_str(",\"scheduler\":");
-                    json::push_str_lit(&mut s, x);
-                }
-                if let Some(x) = &spec.policy {
-                    s.push_str(",\"policy\":");
-                    json::push_str_lit(&mut s, x);
-                }
-                opt_u64(&mut s, "quantum", spec.quantum);
-                opt_u64(&mut s, "seed", spec.seed);
-                opt_u64(&mut s, "queue_capacity", spec.queue_capacity);
-                opt_u64(&mut s, "max_inflight", spec.max_inflight);
-                if let Some(r) = spec.rate_per_sec {
-                    s.push_str(&format!(",\"rate_per_sec\":{r}"));
-                }
-                opt_u64(&mut s, "burst", spec.burst);
-                s.push('}');
-            }
-            Request::Close { session } => {
-                s.push_str("{\"cmd\":\"close\",\"session\":");
-                json::push_str_lit(&mut s, session);
-                s.push('}');
-            }
-            Request::Drain { session } => {
-                s.push_str("{\"cmd\":\"drain\"");
-                push_session(&mut s, session);
-                s.push('}');
-            }
-        }
-        s
+        json::encode(self)
     }
 
     /// Decode one request line.
     pub fn decode(line: &str) -> Result<Request, String> {
-        let v = json::parse(line).map_err(|e| e.to_string())?;
-        let cmd = need_str(&v, "cmd")?;
-        Ok(match cmd {
-            "submit" => {
-                let jobs = match v.get("jobs") {
-                    Some(arr) => arr
-                        .as_arr()
-                        .ok_or("'jobs' must be an array")?
-                        .iter()
-                        .map(DagSpec::from_json)
-                        .collect::<Result<Vec<_>, _>>()?,
-                    None => Vec::new(),
-                };
-                let scenario = match v.get("scenario") {
-                    Some(sc) => Some(ScenarioRef {
-                        name: need_str(sc, "name")?.to_string(),
-                        jobs: need_u64(sc, "jobs")? as usize,
-                        seed: need_u64(sc, "seed")?,
-                    }),
-                    None => None,
-                };
-                if jobs.is_empty() && scenario.is_none() {
-                    return Err("submit needs 'jobs' or 'scenario'".to_string());
-                }
-                let watch = v["watch"].as_bool().unwrap_or(false);
-                Request::Submit {
-                    jobs,
-                    scenario,
-                    watch,
-                    session: decode_session(&v),
-                }
+        let req = json::decode(line)?;
+        if let Request::Submit {
+            jobs,
+            scenario: None,
+            ..
+        } = &req
+        {
+            if jobs.is_empty() {
+                return Err("submit needs 'jobs' or 'scenario'".to_string());
             }
-            "hello" => Request::Hello,
-            "status" => Request::Status {
-                session: decode_session(&v),
-            },
-            "stats" => Request::Stats {
-                session: decode_session(&v),
-            },
-            "metrics" => Request::Metrics,
-            "cancel" => Request::Cancel {
-                job: need_u64(&v, "job")?,
-                session: decode_session(&v),
-            },
-            "trace" => Request::Trace {
-                job: need_u64(&v, "job")?,
-                session: decode_session(&v),
-            },
-            "open" => Request::Open {
-                session: need_str(&v, "session")?.to_string(),
-                spec: SessionSpec {
-                    scheduler: v["scheduler"].as_str().map(str::to_string),
-                    policy: v["policy"].as_str().map(str::to_string),
-                    quantum: v["quantum"].as_u64(),
-                    seed: v["seed"].as_u64(),
-                    queue_capacity: v["queue_capacity"].as_u64(),
-                    max_inflight: v["max_inflight"].as_u64(),
-                    rate_per_sec: v["rate_per_sec"].as_f64(),
-                    burst: v["burst"].as_u64(),
-                },
-            },
-            "close" => Request::Close {
-                session: need_str(&v, "session")?.to_string(),
-            },
-            "drain" => Request::Drain {
-                session: decode_session(&v),
-            },
-            other => return Err(format!("unknown command '{other}'")),
-        })
+        }
+        Ok(req)
     }
 }
 
 impl Response {
     /// Canonical one-line encoding.
     pub fn encode(&self) -> String {
-        let mut s = String::new();
-        match self {
-            Response::Submitted { jobs, trace_ids } => {
-                s.push_str("{\"reply\":\"submitted\",\"jobs\":");
-                json::push_u64_arr(&mut s, jobs);
-                if !trace_ids.is_empty() {
-                    s.push_str(",\"trace_ids\":[");
-                    for (i, id) in trace_ids.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        json::push_str_lit(&mut s, id);
-                    }
-                    s.push(']');
-                }
-                s.push('}');
-            }
-            Response::Rejected {
-                reason,
-                queue_depth,
-                capacity,
-            } => {
-                s.push_str("{\"reply\":\"rejected\",\"reason\":");
-                json::push_str_lit(&mut s, reason);
-                s.push_str(&format!(
-                    ",\"queue_depth\":{queue_depth},\"capacity\":{capacity}}}"
-                ));
-            }
-            Response::Hello(h) => {
-                s.push_str(&format!(
-                    "{{\"reply\":\"hello\",\"version\":{},\"scheduler\":",
-                    h.version
-                ));
-                json::push_str_lit(&mut s, &h.scheduler);
-                s.push_str(",\"time_policy\":");
-                json::push_str_lit(&mut s, &h.time_policy);
-                s.push_str(&format!(",\"quantum\":{},\"now\":{}", h.quantum, h.now));
-                s.push_str(",\"durability\":");
-                json::push_str_lit(&mut s, &h.durability);
-                s.push('}');
-            }
-            Response::Status(st) => {
-                s.push_str(&format!(
-                    "{{\"reply\":\"status\",\"now\":{},\"queued\":{},\"active\":{},\"draining\":{},\"jobs\":[",
-                    st.now, st.queued, st.active, st.draining
-                ));
-                for (i, j) in st.jobs.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!(
-                        "{{\"job\":{},\"state\":\"{}\"",
-                        j.job,
-                        j.state.name()
-                    ));
-                    if let Some(r) = j.release {
-                        s.push_str(&format!(",\"release\":{r}"));
-                    }
-                    if let Some(c) = j.completion {
-                        s.push_str(&format!(",\"completion\":{c}"));
-                    }
-                    s.push('}');
-                }
-                s.push_str("]}");
-            }
-            Response::Stats(x) => {
-                s.push_str(&format!(
-                    "{{\"reply\":\"stats\",\"admitted\":{},\"rejected\":{},\"completed\":{},\"cancelled\":{},\"queue_depth\":{},\"max_queue_depth\":{},\"now\":{},\"busy_steps\":{},\"idle_steps\":{},\"quanta\":{},\"quantum_latency_mean_us\":{},\"quantum_latency_p50_us\":{},\"quantum_latency_p95_us\":{},\"quantum_latency_p99_us\":{},\"uptime_secs\":{},\"phase_ready_mean_us\":{},\"phase_decide_mean_us\":{},\"phase_deq_allot_mean_us\":{},\"phase_rr_cycle_mean_us\":{},\"phase_execute_mean_us\":{},\"scheduler\":",
-                    x.admitted,
-                    x.rejected,
-                    x.completed,
-                    x.cancelled,
-                    x.queue_depth,
-                    x.max_queue_depth,
-                    x.now,
-                    x.busy_steps,
-                    x.idle_steps,
-                    x.quanta,
-                    x.quantum_latency_mean_us,
-                    x.quantum_latency_p50_us,
-                    x.quantum_latency_p95_us,
-                    x.quantum_latency_p99_us,
-                    x.uptime_secs,
-                    x.phase_ready_mean_us,
-                    x.phase_decide_mean_us,
-                    x.phase_deq_allot_mean_us,
-                    x.phase_rr_cycle_mean_us,
-                    x.phase_execute_mean_us,
-                ));
-                json::push_str_lit(&mut s, &x.scheduler);
-                s.push_str(&format!(",\"version\":{},\"time_policy\":", x.version));
-                json::push_str_lit(&mut s, &x.time_policy);
-                s.push_str(",\"durability\":");
-                json::push_str_lit(&mut s, &x.durability);
-                s.push_str(&format!(
-                    ",\"journal_records\":{},\"journal_bytes\":{},\"journal_fsyncs\":{},\"journal_snapshots\":{},\"journal_tail_records\":{},\"last_recovery_ms\":{}",
-                    x.journal_records,
-                    x.journal_bytes,
-                    x.journal_fsyncs,
-                    x.journal_snapshots,
-                    x.journal_tail_records,
-                    x.last_recovery_ms,
-                ));
-                s.push_str(&format!(
-                    ",\"response_jobs\":{},\"response_mean_steps\":{},\"response_p99_steps\":{},\"slowdown_mean_milli\":{},\"slowdown_p99_milli\":{}",
-                    x.response_jobs,
-                    x.response_mean_steps,
-                    x.response_p99_steps,
-                    x.slowdown_mean_milli,
-                    x.slowdown_p99_milli,
-                ));
-                let f64_arr = |s: &mut String, key: &str, vals: &[f64]| {
-                    s.push_str(",\"");
-                    s.push_str(key);
-                    s.push_str("\":[");
-                    for (i, v) in vals.iter().enumerate() {
-                        if i > 0 {
-                            s.push(',');
-                        }
-                        s.push_str(&v.to_string());
-                    }
-                    s.push(']');
-                };
-                f64_arr(
-                    &mut s,
-                    "response_mean_steps_by_cat",
-                    &x.response_mean_steps_by_cat,
-                );
-                f64_arr(
-                    &mut s,
-                    "slowdown_mean_milli_by_cat",
-                    &x.slowdown_mean_milli_by_cat,
-                );
-                s.push_str(",\"session\":");
-                json::push_str_lit(&mut s, &x.session);
-                s.push_str(&format!(",\"sessions\":{}", x.sessions));
-                s.push('}');
-            }
-            Response::Metrics { text } => {
-                s.push_str("{\"reply\":\"metrics\",\"text\":");
-                json::push_str_lit(&mut s, text);
-                s.push('}');
-            }
-            Response::Cancelled { job } => {
-                s.push_str(&format!("{{\"reply\":\"cancelled\",\"job\":{job}}}"));
-            }
-            Response::Trace(t) => {
-                s.push_str(&format!("{{\"reply\":\"trace\",\"job\":{}", t.job));
-                s.push_str(",\"trace_id\":");
-                json::push_str_lit(&mut s, &t.trace_id);
-                s.push_str(",\"state\":");
-                json::push_str_lit(&mut s, &t.state);
-                let opt = |s: &mut String, key: &str, v: Option<u64>| {
-                    if let Some(v) = v {
-                        s.push_str(&format!(",\"{key}\":{v}"));
-                    }
-                };
-                opt(&mut s, "release", t.release);
-                opt(&mut s, "activated", t.activated);
-                opt(&mut s, "first_allot", t.first_allot);
-                s.push_str(",\"segments\":[");
-                for (i, seg) in t.segments.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&format!(
-                        "{{\"from\":{},\"to\":{},\"tasks\":{}}}",
-                        seg.from, seg.to, seg.tasks
-                    ));
-                }
-                s.push(']');
-                opt(&mut s, "completion", t.completion);
-                opt(&mut s, "response", t.response);
-                opt(&mut s, "submit_ns", t.submit_ns);
-                opt(&mut s, "admit_ns", t.admit_ns);
-                opt(&mut s, "inject_ns", t.inject_ns);
-                opt(&mut s, "complete_ns", t.complete_ns);
-                s.push('}');
-            }
-            Response::Opened {
-                session,
-                scheduler,
-                time_policy,
-                quantum,
-                existing,
-            } => {
-                s.push_str("{\"reply\":\"opened\",\"session\":");
-                json::push_str_lit(&mut s, session);
-                s.push_str(",\"scheduler\":");
-                json::push_str_lit(&mut s, scheduler);
-                s.push_str(",\"time_policy\":");
-                json::push_str_lit(&mut s, time_policy);
-                s.push_str(&format!(",\"quantum\":{quantum},\"existing\":{existing}}}"));
-            }
-            Response::Closed { session, report } => {
-                s.push_str("{\"reply\":\"closed\",\"session\":");
-                json::push_str_lit(&mut s, session);
-                s.push(',');
-                push_drain_fields(&mut s, report);
-                s.push('}');
-            }
-            Response::Drained(d) => {
-                s.push_str("{\"reply\":\"drained\",");
-                push_drain_fields(&mut s, d);
-                s.push('}');
-            }
-            Response::Error { message } => {
-                s.push_str("{\"reply\":\"error\",\"message\":");
-                json::push_str_lit(&mut s, message);
-                s.push('}');
-            }
-        }
-        s
+        json::encode(self)
     }
 
     /// Decode one reply line.
     pub fn decode(line: &str) -> Result<Response, String> {
-        let v = json::parse(line).map_err(|e| e.to_string())?;
-        let reply = need_str(&v, "reply")?;
-        Ok(match reply {
-            "submitted" => Response::Submitted {
-                jobs: need_arr(&v, "jobs")?
-                    .iter()
-                    .map(|x| x.as_u64().ok_or("bad job id"))
-                    .collect::<Result<Vec<_>, _>>()?,
-                trace_ids: v["trace_ids"]
-                    .as_arr()
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|x| x.as_str().map(str::to_string).ok_or("bad trace id"))
-                    .collect::<Result<Vec<_>, _>>()?,
-            },
-            "rejected" => Response::Rejected {
-                reason: need_str(&v, "reason")?.to_string(),
-                queue_depth: need_u64(&v, "queue_depth")?,
-                capacity: need_u64(&v, "capacity")?,
-            },
-            "hello" => Response::Hello(HelloReply {
-                version: v["version"].as_u64().unwrap_or(1),
-                scheduler: v["scheduler"].as_str().unwrap_or_default().to_string(),
-                time_policy: v["time_policy"].as_str().unwrap_or_default().to_string(),
-                quantum: v["quantum"].as_u64().unwrap_or(1),
-                now: v["now"].as_u64().unwrap_or(0),
-                durability: v["durability"].as_str().unwrap_or("off").to_string(),
-            }),
-            "status" => {
-                let jobs = need_arr(&v, "jobs")?
-                    .iter()
-                    .map(|j| {
-                        Ok(JobStatus {
-                            job: need_u64(j, "job")?,
-                            state: JobState::from_name(need_str(j, "state")?)?,
-                            release: j["release"].as_u64(),
-                            completion: j["completion"].as_u64(),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Response::Status(StatusReply {
-                    now: need_u64(&v, "now")?,
-                    queued: need_u64(&v, "queued")?,
-                    active: need_u64(&v, "active")?,
-                    draining: v["draining"].as_bool().unwrap_or(false),
-                    jobs,
-                })
-            }
-            "stats" => Response::Stats(StatsReply {
-                admitted: need_u64(&v, "admitted")?,
-                rejected: need_u64(&v, "rejected")?,
-                completed: need_u64(&v, "completed")?,
-                cancelled: need_u64(&v, "cancelled")?,
-                queue_depth: need_u64(&v, "queue_depth")?,
-                max_queue_depth: need_u64(&v, "max_queue_depth")?,
-                now: need_u64(&v, "now")?,
-                busy_steps: need_u64(&v, "busy_steps")?,
-                idle_steps: need_u64(&v, "idle_steps")?,
-                quanta: need_u64(&v, "quanta")?,
-                quantum_latency_mean_us: v["quantum_latency_mean_us"]
-                    .as_f64()
-                    .ok_or("missing quantum_latency_mean_us")?,
-                quantum_latency_p50_us: v["quantum_latency_p50_us"].as_f64().unwrap_or(0.0),
-                quantum_latency_p95_us: v["quantum_latency_p95_us"].as_f64().unwrap_or(0.0),
-                quantum_latency_p99_us: v["quantum_latency_p99_us"].as_f64().unwrap_or(0.0),
-                uptime_secs: v["uptime_secs"].as_f64().unwrap_or(0.0),
-                phase_ready_mean_us: v["phase_ready_mean_us"].as_f64().unwrap_or(0.0),
-                phase_decide_mean_us: v["phase_decide_mean_us"].as_f64().unwrap_or(0.0),
-                phase_deq_allot_mean_us: v["phase_deq_allot_mean_us"].as_f64().unwrap_or(0.0),
-                phase_rr_cycle_mean_us: v["phase_rr_cycle_mean_us"].as_f64().unwrap_or(0.0),
-                phase_execute_mean_us: v["phase_execute_mean_us"].as_f64().unwrap_or(0.0),
-                scheduler: v["scheduler"].as_str().unwrap_or_default().to_string(),
-                version: v["version"].as_u64().unwrap_or(1),
-                time_policy: v["time_policy"].as_str().unwrap_or_default().to_string(),
-                durability: v["durability"].as_str().unwrap_or("off").to_string(),
-                journal_records: v["journal_records"].as_u64().unwrap_or(0),
-                journal_bytes: v["journal_bytes"].as_u64().unwrap_or(0),
-                journal_fsyncs: v["journal_fsyncs"].as_u64().unwrap_or(0),
-                journal_snapshots: v["journal_snapshots"].as_u64().unwrap_or(0),
-                journal_tail_records: v["journal_tail_records"].as_u64().unwrap_or(0),
-                last_recovery_ms: v["last_recovery_ms"].as_f64().unwrap_or(0.0),
-                response_jobs: v["response_jobs"].as_u64().unwrap_or(0),
-                response_mean_steps: v["response_mean_steps"].as_f64().unwrap_or(0.0),
-                response_p99_steps: v["response_p99_steps"].as_f64().unwrap_or(0.0),
-                slowdown_mean_milli: v["slowdown_mean_milli"].as_f64().unwrap_or(0.0),
-                slowdown_p99_milli: v["slowdown_p99_milli"].as_f64().unwrap_or(0.0),
-                response_mean_steps_by_cat: decode_f64_arr(&v, "response_mean_steps_by_cat"),
-                slowdown_mean_milli_by_cat: decode_f64_arr(&v, "slowdown_mean_milli_by_cat"),
-                session: decode_session(&v),
-                sessions: v["sessions"].as_u64().unwrap_or(0),
-            }),
-            "metrics" => Response::Metrics {
-                text: need_str(&v, "text")?.to_string(),
-            },
-            "cancelled" => Response::Cancelled {
-                job: need_u64(&v, "job")?,
-            },
-            "trace" => {
-                let segments = v["segments"]
-                    .as_arr()
-                    .unwrap_or_default()
-                    .iter()
-                    .map(|seg| {
-                        Ok(ExecSegment {
-                            from: need_u64(seg, "from")?,
-                            to: need_u64(seg, "to")?,
-                            tasks: need_u64(seg, "tasks")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let opt = |key: &str| v[key].as_u64();
-                Response::Trace(TraceReply {
-                    job: need_u64(&v, "job")?,
-                    trace_id: v["trace_id"].as_str().unwrap_or_default().to_string(),
-                    state: need_str(&v, "state")?.to_string(),
-                    release: opt("release"),
-                    activated: opt("activated"),
-                    first_allot: opt("first_allot"),
-                    segments,
-                    completion: opt("completion"),
-                    response: opt("response"),
-                    submit_ns: opt("submit_ns"),
-                    admit_ns: opt("admit_ns"),
-                    inject_ns: opt("inject_ns"),
-                    complete_ns: opt("complete_ns"),
-                })
-            }
-            "drained" => Response::Drained(decode_drain_fields(&v)?),
-            "opened" => Response::Opened {
-                session: need_str(&v, "session")?.to_string(),
-                scheduler: v["scheduler"].as_str().unwrap_or_default().to_string(),
-                time_policy: v["time_policy"].as_str().unwrap_or_default().to_string(),
-                quantum: v["quantum"].as_u64().unwrap_or(1),
-                existing: v["existing"].as_bool().unwrap_or(false),
-            },
-            "closed" => Response::Closed {
-                session: need_str(&v, "session")?.to_string(),
-                report: decode_drain_fields(&v)?,
-            },
-            "error" => Response::Error {
-                message: need_str(&v, "message")?.to_string(),
-            },
-            other => return Err(format!("unknown reply '{other}'")),
-        })
+        json::decode(line)
     }
 }
 
 impl Event {
     /// Canonical one-line encoding.
     pub fn encode(&self) -> String {
-        match self {
-            Event::JobDone {
-                job,
-                release,
-                completion,
-                response,
-                trace_id,
-            } => {
-                let mut s = format!(
-                    "{{\"event\":\"job_done\",\"job\":{job},\"release\":{release},\"completion\":{completion},\"response\":{response}"
-                );
-                if !trace_id.is_empty() {
-                    s.push_str(",\"trace_id\":");
-                    json::push_str_lit(&mut s, trace_id);
-                }
-                s.push('}');
-                s
-            }
-            Event::JobCancelled { job } => {
-                format!("{{\"event\":\"job_cancelled\",\"job\":{job}}}")
-            }
-            Event::WatchEnd => "{\"event\":\"watch_end\"}".to_string(),
-        }
+        json::encode(self)
     }
 
     /// Decode one event line; `Ok(None)` if the line is a reply, not
     /// an event.
     pub fn decode(line: &str) -> Result<Option<Event>, String> {
         let v = json::parse(line).map_err(|e| e.to_string())?;
-        let Some(ev) = v["event"].as_str() else {
+        if v.get("event").is_none() {
             return Ok(None);
-        };
-        Ok(Some(match ev {
-            "job_done" => Event::JobDone {
-                job: need_u64(&v, "job")?,
-                release: need_u64(&v, "release")?,
-                completion: need_u64(&v, "completion")?,
-                response: need_u64(&v, "response")?,
-                trace_id: v["trace_id"].as_str().unwrap_or_default().to_string(),
-            },
-            "job_cancelled" => Event::JobCancelled {
-                job: need_u64(&v, "job")?,
-            },
-            "watch_end" => Event::WatchEnd,
-            other => return Err(format!("unknown event '{other}'")),
-        }))
+        }
+        json::read_record(&v).map(Some)
     }
 }
 
@@ -1386,60 +960,68 @@ mod tests {
     }
 
     #[test]
-    fn version_fields_are_backward_tolerant() {
-        // A v1 server never sends "version"/"time_policy"; a v2 client
-        // must decode its stats reply and see version 1.
-        let v1 = r#"{"reply":"stats","admitted":1,"rejected":0,"completed":1,"cancelled":0,"queue_depth":0,"max_queue_depth":1,"now":5,"busy_steps":5,"idle_steps":0,"quanta":5,"quantum_latency_mean_us":1.0,"scheduler":"k-rad"}"#;
-        match Response::decode(v1).unwrap() {
-            Response::Stats(x) => {
-                assert_eq!(x.version, 1);
-                assert_eq!(x.time_policy, "");
-                assert_eq!(x.durability, "off", "journal fields default off");
-                assert_eq!(x.journal_records, 0);
-                assert_eq!(x.response_jobs, 0, "tracing fields default empty");
-                assert_eq!(x.response_mean_steps, 0.0);
-                assert!(x.response_mean_steps_by_cat.is_empty());
-                assert_eq!(x.session, "", "v4 stats decode into the default session");
-                assert_eq!(x.sessions, 0);
-            }
-            other => panic!("expected stats, got {other:?}"),
+    fn wrong_types_are_errors_that_name_the_field() {
+        let requests = [
+            (r#"{"cmd":"open","session":"a","quantum":"5"}"#, "quantum"),
+            (
+                r#"{"cmd":"open","session":"a","rate_per_sec":"10"}"#,
+                "rate_per_sec",
+            ),
+            (r#"{"cmd":"open","session":"a","scheduler":3}"#, "scheduler"),
+            (r#"{"cmd":"status","session":7}"#, "session"),
+            (
+                r#"{"cmd":"submit","scenario":{"name":"x","jobs":1,"seed":1},"session":7}"#,
+                "session",
+            ),
+            (
+                r#"{"cmd":"submit","scenario":{"name":"x","jobs":1,"seed":1},"watch":"yes"}"#,
+                "watch",
+            ),
+            (
+                r#"{"cmd":"submit","scenario":{"name":"x","jobs":"1","seed":1}}"#,
+                "jobs",
+            ),
+            (r#"{"cmd":"cancel","job":-1}"#, "job"),
+            (r#"{"cmd":7}"#, "cmd"),
+        ];
+        for (line, field) in requests {
+            let err = Request::decode(line).unwrap_err();
+            assert!(err.contains(&format!("field '{field}'")), "{line}: {err}");
         }
-        // A v2 hello (no "durability") decodes with journaling off.
-        let v2 = r#"{"reply":"hello","version":2,"scheduler":"k-rad","time_policy":"event","quantum":1,"now":0}"#;
-        match Response::decode(v2).unwrap() {
-            Response::Hello(h) => assert_eq!(h.durability, "off"),
-            other => panic!("expected hello, got {other:?}"),
+        let replies = [
+            (r#"{"reply":"hello","version":"5"}"#, "version"),
+            (
+                r#"{"reply":"submitted","jobs":[0],"trace_ids":[1]}"#,
+                "trace_ids",
+            ),
+            (
+                r#"{"reply":"status","now":1,"queued":0,"active":0,"jobs":[{"job":0,"state":"lost"}]}"#,
+                "state",
+            ),
+            (
+                r#"{"reply":"opened","session":"a","existing":"no"}"#,
+                "existing",
+            ),
+        ];
+        for (line, field) in replies {
+            let err = Response::decode(line).unwrap_err();
+            assert!(err.contains(&format!("field '{field}'")), "{line}: {err}");
         }
-        // And a current reply advertises the current protocol version.
-        let line = Response::Hello(HelloReply {
-            version: PROTOCOL_VERSION,
-            scheduler: "equi".into(),
-            time_policy: "unit".into(),
-            quantum: 1,
-            now: 0,
-            durability: "off".into(),
-        })
-        .encode();
-        let tag = format!("\"version\":{PROTOCOL_VERSION}");
-        assert!(line.contains(&tag), "{line}");
-
-        // A v3 submitted reply (no "trace_ids") and a v3 job_done
-        // event (no "trace_id") decode with empty trace ids.
-        match Response::decode(r#"{"reply":"submitted","jobs":[0,1]}"#).unwrap() {
-            Response::Submitted { jobs, trace_ids } => {
-                assert_eq!(jobs, vec![0, 1]);
-                assert!(trace_ids.is_empty());
-            }
-            other => panic!("expected submitted, got {other:?}"),
-        }
-        match Event::decode(
-            r#"{"event":"job_done","job":2,"release":0,"completion":9,"response":9}"#,
+        let err = Event::decode(
+            r#"{"event":"job_done","job":1,"release":0,"completion":2,"response":2,"trace_id":5}"#,
         )
-        .unwrap()
-        {
-            Some(Event::JobDone { trace_id, .. }) => assert_eq!(trace_id, ""),
-            other => panic!("expected job_done, got {other:?}"),
-        }
+        .unwrap_err();
+        assert!(err.contains("field 'trace_id'"), "{err}");
+        // Required fields stay required; unknown keys are ignored.
+        let err = Request::decode(r#"{"cmd":"open"}"#).unwrap_err();
+        assert!(err.contains("missing field 'session'"), "{err}");
+        assert_eq!(
+            Request::decode(r#"{"cmd":"hello","from_the_future":{"x":[1]}}"#).unwrap(),
+            Request::Hello
+        );
+        assert!(Request::decode(r#"{"cmd":"frobnicate"}"#)
+            .unwrap_err()
+            .contains("frobnicate"));
     }
 
     #[test]

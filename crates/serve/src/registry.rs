@@ -494,7 +494,7 @@ impl Swarm {
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
             let meta = &rec.image.meta;
             cfg.machine = meta.machine.clone();
-            cfg.scheduler = parse_scheduler(&meta.scheduler).ok_or_else(|| {
+            cfg.scheduler = SchedulerKind::from_label(&meta.scheduler).ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
@@ -503,7 +503,7 @@ impl Swarm {
                     ),
                 )
             })?;
-            cfg.policy = parse_policy(&meta.policy).ok_or_else(|| {
+            cfg.policy = SelectionPolicy::from_name(&meta.policy).ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
@@ -692,20 +692,6 @@ pub(crate) fn validate_session_name(name: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn parse_scheduler(label: &str) -> Option<SchedulerKind> {
-    SchedulerKind::ALL
-        .iter()
-        .copied()
-        .find(|k| k.label() == label)
-}
-
-fn parse_policy(name: &str) -> Option<SelectionPolicy> {
-    SelectionPolicy::ALL
-        .iter()
-        .copied()
-        .find(|p| p.name() == name)
-}
-
 /// Derive a named session's effective config from the base config and
 /// the `open` overrides.
 fn derive_session_cfg(
@@ -723,10 +709,12 @@ fn derive_session_cfg(
         .map(|d| d.join("sessions").join(name));
     cfg.flight_dump = None;
     if let Some(s) = &spec.scheduler {
-        cfg.scheduler = parse_scheduler(s).ok_or_else(|| format!("unknown scheduler '{s}'"))?;
+        cfg.scheduler =
+            SchedulerKind::from_label(s).ok_or_else(|| format!("unknown scheduler '{s}'"))?;
     }
     if let Some(p) = &spec.policy {
-        cfg.policy = parse_policy(p).ok_or_else(|| format!("unknown policy '{p}'"))?;
+        cfg.policy =
+            SelectionPolicy::from_name(p).ok_or_else(|| format!("unknown policy '{p}'"))?;
     }
     if let Some(q) = spec.quantum {
         if q == 0 {
@@ -760,12 +748,12 @@ fn derive_session_cfg(
 fn check_spec_matches(cfg: &ServerConfig, spec: &SessionSpec) -> Result<(), String> {
     let mut diffs = Vec::new();
     if let Some(s) = &spec.scheduler {
-        if parse_scheduler(s) != Some(cfg.scheduler) {
+        if SchedulerKind::from_label(s) != Some(cfg.scheduler) {
             diffs.push(format!("scheduler {s} vs live {}", cfg.scheduler.label()));
         }
     }
     if let Some(p) = &spec.policy {
-        if parse_policy(p) != Some(cfg.policy) {
+        if SelectionPolicy::from_name(p) != Some(cfg.policy) {
             diffs.push(format!("policy {p} vs live {}", cfg.policy.name()));
         }
     }

@@ -16,8 +16,7 @@
 use kbaselines::SchedulerKind;
 use kdag::{DagSpec, SelectionPolicy};
 use ksim::{simulate, JobSpec, Resources, SimConfig, SimOutcome, Time};
-use ktelemetry::json::{self, need_arr, need_str, need_u64, Value};
-use ktelemetry::TelemetryHandle;
+use ktelemetry::{json, schema, TelemetryHandle};
 
 /// One recorded arrival: the DAG and the virtual release time the
 /// server assigned at injection.
@@ -49,91 +48,30 @@ pub struct SessionTrace {
     pub completions: Vec<Time>,
 }
 
+schema!(TraceJob {
+    release: req,
+    dag: req
+});
+
+schema!(SessionTrace {
+    machine: req,
+    scheduler: req,
+    policy: req,
+    quantum: req,
+    seed: req,
+    jobs: req,
+    completions: req,
+});
+
 impl SessionTrace {
     /// Canonical JSON encoding (fixed field order, no whitespace).
     pub fn encode(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\"machine\":[");
-        for (i, p) in self.machine.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&p.to_string());
-        }
-        s.push_str("],\"scheduler\":");
-        json::push_str_lit(&mut s, self.scheduler.label());
-        s.push_str(",\"policy\":");
-        json::push_str_lit(&mut s, self.policy.name());
-        s.push_str(&format!(
-            ",\"quantum\":{},\"seed\":{}",
-            self.quantum, self.seed
-        ));
-        s.push_str(",\"jobs\":[");
-        for (i, j) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"release\":");
-            s.push_str(&j.release.to_string());
-            s.push_str(",\"dag\":");
-            j.dag.to_json().push_compact(&mut s);
-            s.push('}');
-        }
-        s.push_str("],\"completions\":");
-        json::push_u64_arr(&mut s, &self.completions);
-        s.push('}');
-        s
-    }
-
-    /// Decode from a parsed wire value.
-    pub fn decode_value(v: &Value) -> Result<SessionTrace, String> {
-        let machine = need_arr(v, "machine")?
-            .iter()
-            .map(|p| {
-                p.as_u64()
-                    .filter(|&p| p <= u64::from(u32::MAX))
-                    .map(|p| p as u32)
-                    .ok_or_else(|| "bad machine entry".to_string())
-            })
-            .collect::<Result<Vec<u32>, String>>()?;
-        let sched_name = need_str(v, "scheduler")?;
-        let scheduler = SchedulerKind::ALL
-            .into_iter()
-            .find(|k| k.label() == sched_name)
-            .ok_or_else(|| format!("unknown scheduler '{sched_name}'"))?;
-        let policy_name = need_str(v, "policy")?;
-        let policy = SelectionPolicy::ALL
-            .into_iter()
-            .find(|p| p.name() == policy_name)
-            .ok_or_else(|| format!("unknown policy '{policy_name}'"))?;
-        let jobs = need_arr(v, "jobs")?
-            .iter()
-            .map(|j| {
-                Ok(TraceJob {
-                    dag: DagSpec::from_json(j.get("dag").ok_or("missing field 'dag'")?)?,
-                    release: need_u64(j, "release")?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let completions = need_arr(v, "completions")?
-            .iter()
-            .map(|c| c.as_u64().ok_or("bad completion"))
-            .collect::<Result<Vec<u64>, _>>()?;
-        Ok(SessionTrace {
-            machine,
-            scheduler,
-            policy,
-            quantum: need_u64(v, "quantum")?,
-            seed: need_u64(v, "seed")?,
-            jobs,
-            completions,
-        })
+        json::encode(self)
     }
 
     /// Decode from a JSON string.
     pub fn decode(text: &str) -> Result<SessionTrace, String> {
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        SessionTrace::decode_value(&v)
+        json::decode(text)
     }
 
     /// Rebuild the validated job specs in injection order.

@@ -45,14 +45,6 @@ fn session_config(time_policy: TimePolicy, journal_dir: &Path, tick: Duration) -
     }
 }
 
-fn parse_time_policy(label: &str) -> TimePolicy {
-    match label {
-        "unit" => TimePolicy::UnitStep,
-        "event" => TimePolicy::EventDriven,
-        other => panic!("bad time policy '{other}'"),
-    }
-}
-
 /// Child-process entry point (no-op unless re-executed by a parent).
 #[test]
 fn crash_child_server() {
@@ -60,7 +52,8 @@ fn crash_child_server() {
         return;
     };
     let portfile = std::env::var(CHILD_PORTFILE).expect("child needs a port file");
-    let tp = parse_time_policy(&std::env::var(CHILD_TIME_POLICY).expect("child needs a policy"));
+    let label = std::env::var(CHILD_TIME_POLICY).expect("child needs a policy");
+    let tp = TimePolicy::from_label(&label).expect("a time policy label");
     let cfg = session_config(tp, Path::new(&dir), Duration::from_millis(2));
     let server = Server::start(cfg).expect("child server starts");
     // Written after bind, so the parent's poll can't see a stale addr.
@@ -103,7 +96,7 @@ fn spawn_child(
 /// SIGKILL it with work in flight, restart on the same journal, and
 /// verify zero acked-job loss plus a byte-for-byte offline replay.
 fn crash_cycle(tp_label: &str) {
-    let time_policy = parse_time_policy(tp_label);
+    let time_policy = TimePolicy::from_label(tp_label).expect("a time policy label");
     let dir = std::env::temp_dir().join(format!("kserve-crash-{tp_label}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();

@@ -1,5 +1,5 @@
-//! The workspace's one JSON codec, and the JSONL codec for
-//! [`TelemetryEvent`] built on it.
+//! The workspace's one JSON codec, the record codec every wire message
+//! is declared with, and the JSONL schema of [`TelemetryEvent`].
 //!
 //! The crate is deliberately dependency-free, so instead of a
 //! serialization framework this module hand-rolls what the workspace
@@ -13,256 +13,376 @@
 //! * [`Value::to_pretty`] / [`Value::to_compact`]: writers, the pretty
 //!   one in `serde_json::to_string_pretty`'s layout, so the committed
 //!   `results/*.json` documents keep their bytes;
+//! * [`Record`], [`Wire`] and [`schema!`](crate::schema): the record
+//!   codec. A message type declares its fields once, in wire order,
+//!   each with a kind, and that one list drives both [`encode`] and
+//!   [`decode`];
 //! * [`to_json`] / [`from_json`] / [`parse_jsonl`]: the event schema,
 //!   where [`from_json`] inverts [`to_json`] exactly (property:
 //!   `from_json(to_json(e)) == e`).
+//!
+//! # The record codec
+//!
+//! Each field has one of three kinds:
+//!
+//! * `req` — required: always written; decoding fails if it is absent;
+//! * `def` / `def(x)` — defaulted: always written; absent decodes to
+//!   `x` (or to the type's `Default`);
+//! * `omit` — omitted when empty: `None`, `false`, `""` and `[]` are not
+//!   written; absent decodes to that empty value.
+//!
+//! A fourth entry, `flat`, splices a nested record's fields into the
+//! enclosing object. Decoding follows one rule: an absent field takes
+//! its declared default (or is an error if required); a present field
+//! of the wrong type, or out of range, is an error that names the
+//! field; an unknown key is ignored.
 
 use crate::{SchedulerMode, TelemetryEvent};
+use std::fmt::Write as _;
+
+/// A value that can be one field of a [`Record`].
+pub trait Wire: Sized {
+    /// Append the value's canonical JSON.
+    fn write(&self, out: &mut String);
+    /// Read the value back; the error says what was expected.
+    fn read(v: &Value) -> Result<Self, String>;
+    /// Whether an `omit` field holding this value is left off the wire.
+    fn is_empty(&self) -> bool {
+        false
+    }
+}
+
+/// A JSON object whose fields are declared once, with [`schema!`](crate::schema).
+pub trait Record: Sized {
+    /// Write every field as `"key":value`, in wire order.
+    fn write_fields(&self, w: &mut Writer<'_>);
+    /// Read every declared field out of the object `obj`.
+    fn read_fields(obj: &Value) -> Result<Self, String>;
+}
+
+/// Where a [`Record`] writes its fields: one object's body.
+pub struct Writer<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl Writer<'_> {
+    fn key(&mut self, key: &str) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        // Keys are Rust identifiers: nothing to escape.
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\":");
+    }
+
+    /// Write a `req` or `def` field.
+    pub fn field<T: Wire>(&mut self, key: &str, x: &T) {
+        self.key(key);
+        x.write(self.out);
+    }
+
+    /// Write an `omit` field unless it is empty.
+    pub fn omit<T: Wire>(&mut self, key: &str, x: &T) {
+        if !x.is_empty() {
+            self.field(key, x);
+        }
+    }
+
+    /// Write an enum's tag field.
+    pub fn tag(&mut self, key: &str, name: &str) {
+        self.key(key);
+        push_str_lit(self.out, name);
+    }
+}
+
+/// Append `r` as one compact JSON object.
+pub fn write_record<R: Record>(r: &R, out: &mut String) {
+    out.push('{');
+    r.write_fields(&mut Writer { out, first: true });
+    out.push('}');
+}
+
+/// Read a [`Record`] from a parsed object.
+pub fn read_record<R: Record>(v: &Value) -> Result<R, String> {
+    match v {
+        Value::Obj(_) => R::read_fields(v),
+        _ => Err("expected an object".to_string()),
+    }
+}
+
+/// Encode a record as one line of canonical JSON.
+pub fn encode<R: Record>(r: &R) -> String {
+    let mut out = String::with_capacity(96);
+    write_record(r, &mut out);
+    out
+}
+
+/// Decode one line into a record.
+pub fn decode<R: Record>(line: &str) -> Result<R, String> {
+    read_record(&parse(line).map_err(|e| e.to_string())?)
+}
+
+/// Read a `req` field.
+pub fn read_req<T: Wire>(obj: &Value, key: &str) -> Result<T, String> {
+    read_or(obj, key, || Err(format!("missing field '{key}'")))
+}
+
+/// Read a `def` or `omit` field: absent takes `default()`.
+pub fn read_or<T: Wire>(
+    obj: &Value,
+    key: &str,
+    default: impl FnOnce() -> Result<T, String>,
+) -> Result<T, String> {
+    match obj.get(key) {
+        None => default(),
+        Some(v) => T::read(v).map_err(|e| format!("field '{key}': {e}")),
+    }
+}
+
+/// Read an enum's tag field.
+pub fn read_tag<'a>(obj: &'a Value, key: &str) -> Result<&'a str, String> {
+    obj.get(key)
+        .ok_or_else(|| format!("missing field '{key}'"))?
+        .as_str()
+        .ok_or_else(|| format!("field '{key}': expected a string"))
+}
+
+/// Read a string that must be one of a fixed set of labels.
+pub fn read_label<T>(v: &Value, parse: impl FnOnce(&str) -> Option<T>) -> Result<T, String> {
+    let s = v.as_str().ok_or("expected a string")?;
+    parse(s).ok_or_else(|| format!("unknown value '{s}'"))
+}
+
+/// Declare the wire schema of a struct, or of an enum tagged by one
+/// key, by listing each field once, in wire order, with its kind (see
+/// the [module docs](crate::json#the-record-codec)). Implements
+/// [`Record`] (and, for a struct, [`Wire`], so it can nest):
+///
+/// ```
+/// # use ktelemetry::{json, schema};
+/// #[derive(Debug, PartialEq)]
+/// struct Hello { version: u64, peer: String, nonce: Option<u64> }
+/// schema!(Hello { version: def(1), peer: req, nonce: omit });
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Msg { Ping {}, Hi(Hello) }
+/// schema!(Msg by "msg" { Ping "ping" {}, Hi "hi" (flat) });
+///
+/// let hi = Msg::Hi(Hello { version: 2, peer: "a".into(), nonce: None });
+/// assert_eq!(json::encode(&hi), r#"{"msg":"hi","version":2,"peer":"a"}"#);
+/// let old: Msg = json::decode(r#"{"msg":"hi","peer":"a","extra":0}"#).unwrap();
+/// assert_eq!(old, Msg::Hi(Hello { version: 1, peer: "a".into(), nonce: None }));
+/// let err = json::decode::<Msg>(r#"{"msg":"hi","peer":7}"#).unwrap_err();
+/// assert_eq!(err, "field 'peer': expected a string");
+/// ```
+#[macro_export]
+macro_rules! schema {
+    // How each kind writes and reads one field.
+    (@write $w:ident, $key:expr, $x:expr, req) => { $w.field($key, $x) };
+    (@write $w:ident, $key:expr, $x:expr, def) => { $w.field($key, $x) };
+    (@write $w:ident, $key:expr, $x:expr, omit) => { $w.omit($key, $x) };
+    (@write $w:ident, $key:expr, $x:expr, flat) => { $crate::json::Record::write_fields($x, $w) };
+    (@read $obj:ident, $key:expr, req) => { $crate::json::read_req($obj, $key) };
+    (@read $obj:ident, $key:expr, def) => { $crate::json::read_or($obj, $key, || Ok(Default::default())) };
+    (@read $obj:ident, $key:expr, def($d:expr)) => { $crate::json::read_or($obj, $key, || Ok($d)) };
+    (@read $obj:ident, $key:expr, omit) => { $crate::json::read_or($obj, $key, || Ok(Default::default())) };
+    (@read $obj:ident, $key:expr, flat) => { $crate::json::Record::read_fields($obj) };
+    // An enum variant's fields, as a pattern, as the encode body of
+    // its match arm, and as the decoded constructor. A tuple variant
+    // holds one record whose fields it splices in: `(flat)`.
+    (@pat $v:ident $x:ident { $($f:ident: $kind:ident $(($d:expr))?),* $(,)? }) => { Self::$v { $($f),* } };
+    (@pat $v:ident $x:ident (flat)) => { Self::$v($x) };
+    (@body $w:ident $x:ident { $($f:ident: $kind:ident $(($d:expr))?),* $(,)? }) => {
+        $( $crate::schema!(@write $w, stringify!($f), $f, $kind); )*
+    };
+    (@body $w:ident $x:ident (flat)) => { $crate::json::Record::write_fields($x, $w) };
+    (@build $obj:ident $v:ident { $($f:ident: $kind:ident $(($d:expr))?),* $(,)? }) => {
+        Self::$v { $( $f: $crate::schema!(@read $obj, stringify!($f), $kind $(($d))?)?, )* }
+    };
+    (@build $obj:ident $v:ident (flat)) => { Self::$v($crate::json::Record::read_fields($obj)?) };
+    ($ty:ident { $($f:ident: $kind:ident $(($d:expr))?),* $(,)? }) => {
+        impl $crate::json::Record for $ty {
+            fn write_fields(&self, w: &mut $crate::json::Writer<'_>) {
+                $( $crate::schema!(@write w, stringify!($f), &self.$f, $kind); )*
+            }
+            fn read_fields(obj: &$crate::json::Value) -> Result<Self, String> {
+                Ok(Self { $( $f: $crate::schema!(@read obj, stringify!($f), $kind $(($d))?)?, )* })
+            }
+        }
+        impl $crate::json::Wire for $ty {
+            fn write(&self, out: &mut String) {
+                $crate::json::write_record(self, out)
+            }
+            fn read(v: &$crate::json::Value) -> Result<Self, String> {
+                $crate::json::read_record(v)
+            }
+        }
+    };
+    ($ty:ident by $tag:literal { $($v:ident $name:literal $body:tt),* $(,)? }) => {
+        impl $crate::json::Record for $ty {
+            fn write_fields(&self, w: &mut $crate::json::Writer<'_>) {
+                match self {
+                    $( $crate::schema!(@pat $v x $body) => {
+                        w.tag($tag, $name);
+                        $crate::schema!(@body w x $body);
+                    } )*
+                }
+            }
+            fn read_fields(obj: &$crate::json::Value) -> Result<Self, String> {
+                match $crate::json::read_tag(obj, $tag)? {
+                    $( $name => Ok($crate::schema!(@build obj $v $body)), )*
+                    other => Err(format!("unknown {} '{}'", $tag, other)),
+                }
+            }
+        }
+    };
+}
+
+impl Wire for u64 {
+    fn write(&self, out: &mut String) {
+        push_u64(out, *self);
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_u64()
+            .ok_or_else(|| "expected an unsigned integer".to_string())
+    }
+}
+
+macro_rules! narrow_wire {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn write(&self, out: &mut String) {
+                push_u64(out, *self as u64);
+            }
+            fn read(v: &Value) -> Result<Self, String> {
+                let n = u64::read(v)?;
+                <$ty>::try_from(n).map_err(|_| format!("{n} overflows {}", stringify!($ty)))
+            }
+        }
+    )*};
+}
+
+narrow_wire!(u16, u32, usize);
+
+impl Wire for f64 {
+    /// Rust's shortest round-trip `Display` form (`1` for `1.0`), the
+    /// wire protocol's float format since v1.
+    fn write(&self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_f64().ok_or_else(|| "expected a number".to_string())
+    }
+}
+
+impl Wire for bool {
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "expected a bool".to_string())
+    }
+    fn is_empty(&self) -> bool {
+        !*self
+    }
+}
+
+impl Wire for String {
+    fn write(&self, out: &mut String) {
+        push_str_lit(out, self);
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "expected a string".to_string())
+    }
+    fn is_empty(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, x) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            x.write(out);
+        }
+        out.push(']');
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        let items = v.as_arr().ok_or("expected an array")?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, x)| T::read(x).map_err(|e| format!("element {i}: {e}")))
+            .collect()
+    }
+    fn is_empty(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(x) => x.write(out),
+            None => out.push_str("null"),
+        }
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        match v {
+            Value::Null => Ok(None),
+            v => T::read(v).map(Some),
+        }
+    }
+    fn is_empty(&self) -> bool {
+        self.is_none()
+    }
+}
+
+impl Wire for SchedulerMode {
+    fn write(&self, out: &mut String) {
+        push_str_lit(out, self.label());
+    }
+    fn read(v: &Value) -> Result<Self, String> {
+        read_label(v, SchedulerMode::from_label)
+    }
+}
+
+crate::schema!(TelemetryEvent by "event" {
+    RunStart "run_start" { scheduler: req, jobs: req, categories: req },
+    JobReleased "job_released" { t: req, job: req },
+    StepStart "step_start" { t: req, active_jobs: req },
+    StepEnd "step_end" { t: req, allotted: req, executed: req },
+    JobCompleted "job_completed" { t: req, job: req, response: req },
+    JobFirstAllot "job_first_allot" { t: req, job: req },
+    JobExecSegment "job_exec_segment" { job: req, from: req, to: req, tasks: req },
+    SloAlert "slo_alert" { t: req, mean_response_milli: req, threshold_milli: req },
+    IdleSkip "idle_skip" { from: req, to: req },
+    Decision "decision" {
+        t: req, category: req, mode: req, jobs: req,
+        desire: req, allotted: req, satisfied: req, deprived: req,
+    },
+    ModeTransition "mode_transition" { t: req, category: req, from: req, to: req, active_jobs: req },
+    RrCycleComplete "rr_cycle_complete" { t: req, category: req, served: req },
+    RunEnd "run_end" { makespan: req, busy_steps: req, idle_steps: req },
+});
 
 /// Encode one event as a single-line JSON object with an `"event"`
 /// discriminator field.
 pub fn to_json(event: &TelemetryEvent) -> String {
-    let mut s = String::with_capacity(96);
-    s.push_str("{\"event\":\"");
-    s.push_str(event.kind());
-    s.push('"');
-    let field_u64 = |s: &mut String, k: &str, v: u64| {
-        s.push_str(",\"");
-        s.push_str(k);
-        s.push_str("\":");
-        push_u64(s, v);
-    };
-    match event {
-        TelemetryEvent::RunStart {
-            scheduler,
-            jobs,
-            categories,
-        } => {
-            s.push_str(",\"scheduler\":");
-            push_str_lit(&mut s, scheduler);
-            field_u64(&mut s, "jobs", u64::from(*jobs));
-            field_u64(&mut s, "categories", u64::from(*categories));
-        }
-        TelemetryEvent::JobReleased { t, job } => {
-            field_u64(&mut s, "t", *t);
-            field_u64(&mut s, "job", u64::from(*job));
-        }
-        TelemetryEvent::StepStart { t, active_jobs } => {
-            field_u64(&mut s, "t", *t);
-            field_u64(&mut s, "active_jobs", u64::from(*active_jobs));
-        }
-        TelemetryEvent::StepEnd {
-            t,
-            allotted,
-            executed,
-        } => {
-            field_u64(&mut s, "t", *t);
-            array_into("allotted", allotted, &mut s);
-            array_into("executed", executed, &mut s);
-        }
-        TelemetryEvent::JobCompleted { t, job, response } => {
-            field_u64(&mut s, "t", *t);
-            field_u64(&mut s, "job", u64::from(*job));
-            field_u64(&mut s, "response", *response);
-        }
-        TelemetryEvent::JobFirstAllot { t, job } => {
-            field_u64(&mut s, "t", *t);
-            field_u64(&mut s, "job", u64::from(*job));
-        }
-        TelemetryEvent::JobExecSegment {
-            job,
-            from,
-            to,
-            tasks,
-        } => {
-            field_u64(&mut s, "job", u64::from(*job));
-            field_u64(&mut s, "from", *from);
-            field_u64(&mut s, "to", *to);
-            field_u64(&mut s, "tasks", *tasks);
-        }
-        TelemetryEvent::SloAlert {
-            t,
-            mean_response_milli,
-            threshold_milli,
-        } => {
-            field_u64(&mut s, "t", *t);
-            field_u64(&mut s, "mean_response_milli", *mean_response_milli);
-            field_u64(&mut s, "threshold_milli", *threshold_milli);
-        }
-        TelemetryEvent::IdleSkip { from, to } => {
-            field_u64(&mut s, "from", *from);
-            field_u64(&mut s, "to", *to);
-        }
-        TelemetryEvent::Decision {
-            t,
-            category,
-            mode,
-            jobs,
-            desire,
-            allotted,
-            satisfied,
-            deprived,
-        } => {
-            field_u64(&mut s, "t", *t);
-            field_u64(&mut s, "category", u64::from(*category));
-            s.push_str(",\"mode\":\"");
-            s.push_str(mode.label());
-            s.push('"');
-            field_u64(&mut s, "jobs", u64::from(*jobs));
-            field_u64(&mut s, "desire", *desire);
-            field_u64(&mut s, "allotted", *allotted);
-            field_u64(&mut s, "satisfied", u64::from(*satisfied));
-            field_u64(&mut s, "deprived", u64::from(*deprived));
-        }
-        TelemetryEvent::ModeTransition {
-            t,
-            category,
-            from,
-            to,
-            active_jobs,
-        } => {
-            field_u64(&mut s, "t", *t);
-            field_u64(&mut s, "category", u64::from(*category));
-            s.push_str(",\"from\":\"");
-            s.push_str(from.label());
-            s.push_str("\",\"to\":\"");
-            s.push_str(to.label());
-            s.push('"');
-            field_u64(&mut s, "active_jobs", u64::from(*active_jobs));
-        }
-        TelemetryEvent::RrCycleComplete {
-            t,
-            category,
-            served,
-        } => {
-            field_u64(&mut s, "t", *t);
-            field_u64(&mut s, "category", u64::from(*category));
-            field_u64(&mut s, "served", u64::from(*served));
-        }
-        TelemetryEvent::RunEnd {
-            makespan,
-            busy_steps,
-            idle_steps,
-        } => {
-            field_u64(&mut s, "makespan", *makespan);
-            field_u64(&mut s, "busy_steps", *busy_steps);
-            field_u64(&mut s, "idle_steps", *idle_steps);
-        }
-    }
-    s.push('}');
-    s
-}
-
-fn array_into(key: &str, values: &[u32], out: &mut String) {
-    out.push_str(",\"");
-    out.push_str(key);
-    out.push_str("\":[");
-    for (i, v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_u64(out, u64::from(*v));
-    }
-    out.push(']');
+    encode(event)
 }
 
 /// Decode one JSONL line back into an event.
 pub fn from_json(line: &str) -> Result<TelemetryEvent, String> {
-    let obj = parse(line).map_err(|e| e.to_string())?;
-    let u32_field = |key: &str| {
-        u32::try_from(need_u64(&obj, key)?).map_err(|_| format!("field '{key}' overflows u32"))
-    };
-    let u16_field = |key: &str| {
-        u16::try_from(need_u64(&obj, key)?).map_err(|_| format!("field '{key}' overflows u16"))
-    };
-    let u64_field = |key: &str| need_u64(&obj, key);
-    let array_field = |key: &str| -> Result<Vec<u32>, String> {
-        need_arr(&obj, key)?
-            .iter()
-            .map(|v| {
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| format!("'{key}' element is not a u32"))
-            })
-            .collect()
-    };
-    let mode_field = |key: &str| {
-        let s = need_str(&obj, key)?;
-        SchedulerMode::from_label(s).ok_or_else(|| format!("field '{key}': unknown mode '{s}'"))
-    };
-    let e = match need_str(&obj, "event")? {
-        "run_start" => TelemetryEvent::RunStart {
-            scheduler: need_str(&obj, "scheduler")?.to_string(),
-            jobs: u32_field("jobs")?,
-            categories: u16_field("categories")?,
-        },
-        "job_released" => TelemetryEvent::JobReleased {
-            t: u64_field("t")?,
-            job: u32_field("job")?,
-        },
-        "step_start" => TelemetryEvent::StepStart {
-            t: u64_field("t")?,
-            active_jobs: u32_field("active_jobs")?,
-        },
-        "step_end" => TelemetryEvent::StepEnd {
-            t: u64_field("t")?,
-            allotted: array_field("allotted")?,
-            executed: array_field("executed")?,
-        },
-        "job_completed" => TelemetryEvent::JobCompleted {
-            t: u64_field("t")?,
-            job: u32_field("job")?,
-            response: u64_field("response")?,
-        },
-        "job_first_allot" => TelemetryEvent::JobFirstAllot {
-            t: u64_field("t")?,
-            job: u32_field("job")?,
-        },
-        "job_exec_segment" => TelemetryEvent::JobExecSegment {
-            job: u32_field("job")?,
-            from: u64_field("from")?,
-            to: u64_field("to")?,
-            tasks: u64_field("tasks")?,
-        },
-        "slo_alert" => TelemetryEvent::SloAlert {
-            t: u64_field("t")?,
-            mean_response_milli: u64_field("mean_response_milli")?,
-            threshold_milli: u64_field("threshold_milli")?,
-        },
-        "idle_skip" => TelemetryEvent::IdleSkip {
-            from: u64_field("from")?,
-            to: u64_field("to")?,
-        },
-        "decision" => TelemetryEvent::Decision {
-            t: u64_field("t")?,
-            category: u16_field("category")?,
-            mode: mode_field("mode")?,
-            jobs: u32_field("jobs")?,
-            desire: u64_field("desire")?,
-            allotted: u64_field("allotted")?,
-            satisfied: u32_field("satisfied")?,
-            deprived: u32_field("deprived")?,
-        },
-        "mode_transition" => TelemetryEvent::ModeTransition {
-            t: u64_field("t")?,
-            category: u16_field("category")?,
-            from: mode_field("from")?,
-            to: mode_field("to")?,
-            active_jobs: u32_field("active_jobs")?,
-        },
-        "rr_cycle_complete" => TelemetryEvent::RrCycleComplete {
-            t: u64_field("t")?,
-            category: u16_field("category")?,
-            served: u32_field("served")?,
-        },
-        "run_end" => TelemetryEvent::RunEnd {
-            makespan: u64_field("makespan")?,
-            busy_steps: u64_field("busy_steps")?,
-            idle_steps: u64_field("idle_steps")?,
-        },
-        other => return Err(format!("unknown event kind '{other}'")),
-    };
-    Ok(e)
+    decode(line)
 }
 
 /// Parse a whole JSONL document (blank lines skipped), with the line
@@ -970,6 +1090,34 @@ mod tests {
             .contains("line 1"));
         let trailing = r#"{"event":"idle_skip","from":1,"to":2} extra"#;
         assert!(from_json(trailing).unwrap_err().contains("trailing"));
+    }
+
+    #[test]
+    fn wrong_types_and_ranges_name_the_field() {
+        for (line, field) in [
+            (r#"{"event":"idle_skip","from":"1","to":2}"#, "from"),
+            (
+                r#"{"event":"run_start","scheduler":"x","jobs":1,"categories":70000}"#,
+                "categories",
+            ),
+            (r#"{"event":"job_released","t":1,"job":4294967296}"#, "job"),
+            (
+                r#"{"event":"step_end","t":1,"allotted":[1,-1],"executed":[]}"#,
+                "allotted",
+            ),
+            (
+                r#"{"event":"rr_cycle_complete","t":1,"category":0,"served":null}"#,
+                "served",
+            ),
+        ] {
+            let err = from_json(line).unwrap_err();
+            assert!(err.contains(&format!("field '{field}'")), "{line}: {err}");
+        }
+        // Unknown keys are ignored.
+        assert_eq!(
+            from_json(r#"{"event":"idle_skip","from":1,"to":2,"new_in_v9":[]}"#).unwrap(),
+            TelemetryEvent::IdleSkip { from: 1, to: 2 }
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   holds. `emit` takes a closure so event construction is skipped
 //!   entirely when telemetry is off — the uninstrumented fast path is a
 //!   single boolean test;
-//! * [`Counter`] / [`Histogram`] — dependency-free metrics primitives;
+//! * [`Histogram`] — a dependency-free fixed-bucket histogram;
 //! * [`MetricsRegistry`] — named, labeled metric families
 //!   ([`CounterHandle`] / [`GaugeHandle`] / [`HistogramHandle`],
 //!   lock-free atomic handles) with a Prometheus-compatible text
@@ -33,8 +33,10 @@
 //!   streams, with optional service-layer wall stamps
 //!   ([`TraceStamps`]);
 //! * [`json`] — the workspace's one JSON codec (value model, parser,
-//!   escaper, compact and pretty writers) and the JSONL encoder/parser
-//!   for the event schema; the crate has zero dependencies.
+//!   escaper, compact and pretty writers), the record codec every wire
+//!   message is declared with ([`schema!`]), and the JSONL
+//!   encoder/parser for the event schema; the crate has zero
+//!   dependencies.
 //!
 //! Everything is plain `std`; no external tracing or metrics crates.
 
@@ -52,7 +54,7 @@ mod trace;
 
 pub use event::{interest, SchedulerMode, TelemetryEvent};
 pub use flight::{flight_dump_header, FlightRecorder, FLIGHT_DUMP_SCHEMA, FLIGHT_DUMP_VERSION};
-pub use metrics::{Counter, Histogram};
+pub use metrics::Histogram;
 pub use registry::{CounterHandle, GaugeHandle, HistogramHandle, MetricsRegistry};
 pub use sink::{
     FanoutSink, JsonlSink, NoopSink, RecordingSink, SharedSink, TelemetryHandle, TelemetrySink,

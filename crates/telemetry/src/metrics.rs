@@ -1,34 +1,4 @@
-//! Dependency-free metrics primitives: counters and fixed-bucket
-//! histograms.
-
-/// A monotonically increasing counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
+//! Dependency-free fixed-bucket histograms.
 
 /// A fixed-bucket histogram over `u64` samples.
 ///
@@ -208,14 +178,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-    }
 
     #[test]
     fn histogram_buckets_inclusively() {

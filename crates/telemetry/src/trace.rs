@@ -35,6 +35,12 @@ pub struct ExecSegment {
     pub tasks: u64,
 }
 
+crate::schema!(ExecSegment {
+    from: req,
+    to: req,
+    tasks: req
+});
+
 impl ExecSegment {
     /// Number of steps the segment spans.
     pub fn steps(&self) -> u64 {

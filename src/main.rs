@@ -2,18 +2,7 @@
 //! CLI, reachable via plain `cargo run -- <subcommand>` from a fresh
 //! checkout (e.g. `cargo run -- profile --kind t12`).
 
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
+fn main() -> std::process::ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match kcli::run(&argv) {
-        Ok(text) => {
-            println!("{text}");
-            ExitCode::SUCCESS
-        }
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
-    }
+    kcli::main(&argv)
 }
