@@ -8,13 +8,14 @@
 //!   version, per-kind record counts, torn-tail/alien-frame counters,
 //!   and the clock span the records cover. This is `krad journal
 //!   inspect`.
-//! * [`JournalDirReport`] — a journal *directory*: folds snapshot +
-//!   WAL exactly the way server recovery does and summarizes the
-//!   session image that a restart would rebuild, without starting a
-//!   server. This is `krad recover` (a dry run of recovery).
+//! * [`JournalDirReport`] — a journal *directory*: reads and folds
+//!   snapshot + WAL through server recovery's own reader
+//!   ([`JournalDir`]) and summarizes the session image that a restart
+//!   would rebuild, without starting a server. This is `krad recover`
+//!   (a dry run of recovery).
 
 use crate::table::Table;
-use kjournal::{fold_records, read_records, JournalStore, Record, SessionImage};
+use kjournal::{read_records, JournalDir, ReadOutcome, Record, SessionImage};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -83,18 +84,22 @@ impl JournalFileReport {
         let bytes =
             std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         let out = read_records(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-        let last_clock = out.records.iter().rev().find_map(|r| match r {
-            Record::Quantum { to, .. } => Some(*to),
-            _ => None,
-        });
-        Ok(JournalFileReport {
+        Ok(JournalFileReport::from_outcome(&out))
+    }
+
+    /// Summarize one scanned file.
+    fn from_outcome(out: &ReadOutcome) -> JournalFileReport {
+        JournalFileReport {
             version: out.version,
-            bytes: bytes.len() as u64,
+            bytes: out.valid_len + out.dropped_bytes,
             counts: RecordCounts::tally(&out.records),
             dropped_bytes: out.dropped_bytes,
             skipped: out.skipped,
-            last_clock,
-        })
+            last_clock: out.records.iter().rev().find_map(|r| match r {
+                Record::Quantum { to, .. } => Some(*to),
+                _ => None,
+            }),
+        }
     }
 
     /// Render as a table.
@@ -152,44 +157,20 @@ pub struct JournalDirReport {
 }
 
 impl JournalDirReport {
-    /// Fold `dir` the way server recovery does (snapshot first, then
-    /// the WAL tail) without opening the WAL for append.
+    /// Fold `dir` the way server recovery does — through the same
+    /// [`JournalDir`] reader — without opening the WAL for append.
     pub fn from_dir(dir: &Path) -> Result<JournalDirReport, String> {
-        let mut records: Vec<Record> = Vec::new();
-        let mut load = |path: &Path| -> Result<Option<JournalFileReport>, String> {
-            if !path.exists() {
-                return Ok(None);
-            }
-            let bytes =
-                std::fs::read(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let out = read_records(&bytes).map_err(|e| format!("{}: {e}", path.display()))?;
-            let report = JournalFileReport {
-                version: out.version,
-                bytes: bytes.len() as u64,
-                counts: RecordCounts::tally(&out.records),
-                dropped_bytes: out.dropped_bytes,
-                skipped: out.skipped,
-                last_clock: out.records.iter().rev().find_map(|r| match r {
-                    Record::Quantum { to, .. } => Some(*to),
-                    _ => None,
-                }),
-            };
-            records.extend(out.records);
-            Ok(Some(report))
-        };
-        let snapshot = load(&JournalStore::snapshot_path(dir))?;
-        let wal = load(&JournalStore::wal_path(dir))?;
-        if snapshot.is_none() && wal.is_none() {
+        let files = JournalDir::read(dir).map_err(|e| e.to_string())?;
+        if files.snapshot.is_none() && files.wal.is_none() {
             return Err(format!("no journal files in {}", dir.display()));
         }
-        let folded = fold_records(&records);
-        let (image, anomalies) = match folded {
-            Some(f) => (Some(f.image), f.anomalies),
-            None => (None, records.len() as u64),
+        let (anomalies, image) = match files.fold() {
+            Some(log) => (log.anomalies(), Some(log.into_image())),
+            None => (files.records().count() as u64, None),
         };
         Ok(JournalDirReport {
-            snapshot,
-            wal,
+            snapshot: files.snapshot.as_ref().map(JournalFileReport::from_outcome),
+            wal: files.wal.as_ref().map(JournalFileReport::from_outcome),
             image,
             anomalies,
         })
@@ -246,7 +227,7 @@ impl JournalDirReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kjournal::{FsyncPolicy, SessionMeta};
+    use kjournal::{FsyncPolicy, JournalStore, SessionMeta};
 
     fn meta() -> SessionMeta {
         SessionMeta {
@@ -307,6 +288,58 @@ mod tests {
         assert!(text.contains("k-rad"), "{text}");
 
         assert!(JournalDirReport::from_dir(&dir.join("missing")).is_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A journal directory holding one snapshot (two jobs, one done).
+    fn snapshotted_dir(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("kanalysis-journal-{name}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (mut store, _) = JournalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        store.append(&Record::SessionOpen(meta()));
+        store.append(&Record::JobAdmitted { job: 0, dag: dag() });
+        store.append(&Record::JobAdmitted { job: 1, dag: dag() });
+        store.append(&Record::JobInjected { job: 0, release: 0 });
+        store.append(&Record::Quantum {
+            to: 2,
+            busy: 2,
+            idle: 0,
+            completed: vec![(0, 2)],
+        });
+        store.commit().unwrap();
+        drop(store);
+        let (mut store, rec) = JournalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        store.snapshot(&rec.unwrap().image).unwrap();
+        dir
+    }
+
+    #[test]
+    fn dry_run_recovers_a_wal_torn_inside_its_header() {
+        // A crash while `wal.kj` was being created leaves it shorter
+        // than its header; the server treats it as empty and recovers.
+        let dir = snapshotted_dir("short-wal");
+        std::fs::write(JournalStore::wal_path(&dir), b"KJN").unwrap();
+        let report = JournalDirReport::from_dir(&dir).expect("dry run recovers");
+        let (_store, recovered) = JournalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(report.image, Some(recovered.unwrap().image));
+        assert_eq!(report.wal.unwrap().counts.total(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn dry_run_refuses_a_snapshot_with_trailing_garbage() {
+        // The server refuses to start on a damaged snapshot; the dry
+        // run must not print a healthy image for it.
+        let dir = snapshotted_dir("snap-garbage");
+        let snap = JournalStore::snapshot_path(&dir);
+        let mut bytes = std::fs::read(&snap).unwrap();
+        bytes.extend_from_slice(b"garbage");
+        std::fs::write(&snap, bytes).unwrap();
+        let err = JournalDirReport::from_dir(&dir).unwrap_err();
+        assert!(err.contains("refusing to guess"), "{err}");
+        let server = JournalStore::open(&dir, FsyncPolicy::Never).map(|_| ());
+        assert_eq!(server.unwrap_err().to_string(), err);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -164,13 +164,20 @@ pub fn header_bytes() -> [u8; 8] {
 /// Append one framed record (`len | body | crc`) to `buf`; returns the
 /// number of bytes written.
 pub fn append_frame(buf: &mut Vec<u8>, record: &Record) -> usize {
-    let mut body = Vec::with_capacity(64);
-    encode_body(record, &mut body);
-    let before = buf.len();
-    buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&body);
-    buf.extend_from_slice(&crc32(&body).to_le_bytes());
-    buf.len() - before
+    push_frame(buf, |body| encode_body(record, body))
+}
+
+/// Append one frame whose body `encode` writes in place (no scratch
+/// buffer): the length prefix is patched and the CRC appended after.
+pub(crate) fn push_frame(buf: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    encode(buf);
+    let body_len = (buf.len() - start - 4) as u32;
+    buf[start..start + 4].copy_from_slice(&body_len.to_le_bytes());
+    let crc = crc32(&buf[start + 4..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
+    buf.len() - start
 }
 
 fn encode_body(record: &Record, out: &mut Vec<u8>) {
@@ -187,20 +194,7 @@ fn encode_body(record: &Record, out: &mut Vec<u8>) {
             put_u64(out, meta.quantum);
             put_u64(out, meta.seed);
         }
-        Record::JobAdmitted { job, dag } => {
-            out.push(KIND_JOB_ADMITTED);
-            put_u64(out, *job);
-            put_u32(out, dag.k as u32);
-            put_u32(out, dag.categories.len() as u32);
-            for &c in &dag.categories {
-                put_u16(out, c);
-            }
-            put_u32(out, dag.edges.len() as u32);
-            for &(a, b) in &dag.edges {
-                put_u32(out, a);
-                put_u32(out, b);
-            }
-        }
+        Record::JobAdmitted { job, dag } => encode_admitted(out, *job, dag),
         Record::JobCancelled { job } => {
             out.push(KIND_JOB_CANCELLED);
             put_u64(out, *job);
@@ -215,17 +209,43 @@ fn encode_body(record: &Record, out: &mut Vec<u8>) {
             busy,
             idle,
             completed,
-        } => {
-            out.push(KIND_QUANTUM);
-            put_u64(out, *to);
-            put_u64(out, *busy);
-            put_u64(out, *idle);
-            put_u32(out, completed.len() as u32);
-            for &(job, t) in completed {
-                put_u64(out, job);
-                put_u64(out, t);
-            }
-        }
+        } => encode_quantum(out, *to, *busy, *idle, completed),
+    }
+}
+
+/// The `JobAdmitted` body, from a borrowed DAG (snapshots encode
+/// straight from the session image).
+pub(crate) fn encode_admitted(out: &mut Vec<u8>, job: u64, dag: &DagSpec) {
+    out.push(KIND_JOB_ADMITTED);
+    put_u64(out, job);
+    put_u32(out, dag.k as u32);
+    put_u32(out, dag.categories.len() as u32);
+    for &c in &dag.categories {
+        put_u16(out, c);
+    }
+    put_u32(out, dag.edges.len() as u32);
+    for &(a, b) in &dag.edges {
+        put_u32(out, a);
+        put_u32(out, b);
+    }
+}
+
+/// The `Quantum` body, from a borrowed completion list.
+pub(crate) fn encode_quantum(
+    out: &mut Vec<u8>,
+    to: Time,
+    busy: u64,
+    idle: u64,
+    completed: &[(u64, Time)],
+) {
+    out.push(KIND_QUANTUM);
+    put_u64(out, to);
+    put_u64(out, busy);
+    put_u64(out, idle);
+    put_u32(out, completed.len() as u32);
+    for &(job, t) in completed {
+        put_u64(out, job);
+        put_u64(out, t);
     }
 }
 

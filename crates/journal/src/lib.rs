@@ -18,9 +18,10 @@
 //!   discarded, alien record kinds from newer writers are skipped.
 //! - [`log`] — the append side ([`JournalWriter`], [`FsyncPolicy`]):
 //!   group commit with `always` / `interval` / `never` fsync.
-//! - [`store`] — the directory ([`JournalStore`]): WAL + atomic
-//!   snapshot rotation, and the idempotent fold ([`fold_records`])
-//!   that turns files back into a [`SessionImage`].
+//! - [`store`] — the directory ([`JournalStore`], [`JournalDir`]): the
+//!   WAL with atomic snapshot rotation, and the idempotent fold
+//!   ([`SessionLog`], [`fold_records`]) that turns records back into a
+//!   [`SessionImage`] — from disk at recovery, in memory while serving.
 //!
 //! ```
 //! use kjournal::{FsyncPolicy, JournalStore, Record, SessionMeta};
@@ -54,5 +55,6 @@ pub use crc32::crc32;
 pub use frame::{read_records, FrameError, ReadOutcome, Record, SessionMeta, FORMAT_VERSION};
 pub use log::{FsyncPolicy, JournalStats, JournalWriter};
 pub use store::{
-    fold_records, FoldedSession, JobImage, JobPhase, JournalStore, RecoveredSession, SessionImage,
+    fold_records, JobImage, JobPhase, JournalDir, JournalStore, RecoveredSession, SessionImage,
+    SessionLog,
 };

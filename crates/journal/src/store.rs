@@ -12,18 +12,23 @@
 //! A snapshot is *literally a compacted journal*: the session header,
 //! one `JobAdmitted` per job, the cancellations, the injections in
 //! injection order, and a single `Quantum` record carrying the clock
-//! and every completion. Recovery therefore has exactly one reader:
-//! fold `snap.kj`, then fold `wal.kj` on top. The fold is idempotent
-//! (records keyed by job id are deduplicated, the clock is a max), so
-//! a crash *between* writing the snapshot and truncating the WAL —
-//! when both files describe overlapping history — recovers cleanly.
+//! and every completion. Recovery therefore has exactly one reader
+//! ([`JournalDir`]): fold `snap.kj`, then fold `wal.kj` on top. The
+//! fold is one rule, [`SessionLog::apply`], which the live daemon also
+//! runs on every record it journals. It is idempotent (records keyed
+//! by job id are deduplicated, the clock is a max), so a crash
+//! *between* writing the snapshot and truncating the WAL — when both
+//! files describe overlapping history — recovers cleanly.
 //!
 //! Snapshot rotation is crash-safe by construction: write
 //! `snap.kj.tmp`, fsync it, `rename(2)` over `snap.kj` (atomic on
 //! POSIX), then truncate the WAL. At every intermediate point the
 //! directory folds to the same session.
 
-use crate::frame::{read_records, FrameError, Record, SessionMeta};
+use crate::frame::{
+    append_frame, encode_admitted, encode_quantum, header_bytes, push_frame, read_records,
+    ReadOutcome, Record, SessionMeta, FORMAT_VERSION, HEADER_LEN,
+};
 use crate::log::{FsyncPolicy, JournalStats, JournalWriter};
 use ksim::Time;
 use std::collections::HashMap;
@@ -44,6 +49,16 @@ pub enum JobPhase {
         /// Engine clock at injection.
         release: Time,
     },
+}
+
+impl JobPhase {
+    /// The release stamp, once the job was injected.
+    pub fn release(self) -> Option<Time> {
+        match self {
+            JobPhase::Injected { release } => Some(release),
+            JobPhase::Queued | JobPhase::Cancelled => None,
+        }
+    }
 }
 
 /// One job as the journal knows it.
@@ -91,35 +106,30 @@ impl SessionImage {
         }
     }
 
-    /// Compact this image back into the canonical record stream a
-    /// snapshot stores. Injections are emitted in id order, which is
-    /// injection order (admission is FIFO and ids are assigned at
-    /// admission), so replaying them preserves release monotonicity.
-    pub fn to_records(&self) -> Vec<Record> {
-        let mut out = Vec::with_capacity(2 + 2 * self.jobs.len());
-        out.push(Record::SessionOpen(self.meta.clone()));
+    /// The snapshot file for this image: the header, then the image
+    /// compacted back into the canonical record stream, encoded
+    /// straight from the borrowed image. Injections are emitted in id
+    /// order, which is injection order (admission is FIFO and ids are
+    /// assigned at admission), so replaying them preserves release
+    /// monotonicity.
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        let mut bytes = header_bytes().to_vec();
+        append_frame(&mut bytes, &Record::SessionOpen(self.meta.clone()));
         for j in &self.jobs {
-            out.push(Record::JobAdmitted {
-                job: j.id,
-                dag: j.dag.clone(),
-            });
+            push_frame(&mut bytes, |b| encode_admitted(b, j.id, &j.dag));
         }
         for j in &self.jobs {
-            match j.phase {
-                JobPhase::Queued => {}
-                JobPhase::Cancelled => out.push(Record::JobCancelled { job: j.id }),
-                JobPhase::Injected { release } => {
-                    out.push(Record::JobInjected { job: j.id, release })
-                }
-            }
+            let record = match j.phase {
+                JobPhase::Queued => continue,
+                JobPhase::Cancelled => Record::JobCancelled { job: j.id },
+                JobPhase::Injected { release } => Record::JobInjected { job: j.id, release },
+            };
+            append_frame(&mut bytes, &record);
         }
-        out.push(Record::Quantum {
-            to: self.clock,
-            busy: self.busy,
-            idle: self.idle,
-            completed: self.completed.clone(),
+        push_frame(&mut bytes, |b| {
+            encode_quantum(b, self.clock, self.busy, self.idle, &self.completed)
         });
-        out
+        bytes
     }
 
     /// Per-phase counts `(queued, injected-running, cancelled, done)`.
@@ -144,76 +154,251 @@ impl SessionImage {
     }
 }
 
-/// Result of folding a record stream (snapshot + WAL) into an image.
+/// One session's log, folded in memory: the [`SessionImage`] plus the
+/// index that applies records to it in O(1). [`SessionLog::apply`] is
+/// the one rule by which a record changes a session — recovery folds
+/// the journal files through it ([`fold_records`]) and the live daemon
+/// folds every record it journals through it, so the two cannot
+/// disagree.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FoldedSession {
-    /// The reconstructed logical state.
-    pub image: SessionImage,
-    /// Records that referenced unknown job ids or arrived before any
-    /// `SessionOpen` — tolerated but counted, like alien frames.
-    pub anomalies: u64,
+pub struct SessionLog {
+    image: SessionImage,
+    // Position in `image.jobs` per job id.
+    index: HashMap<u64, usize>,
+    // Completion time per finished job id; dedups overlapping quanta.
+    done: HashMap<u64, Time>,
+    // Injected job ids in id order, which is injection order: the
+    // engine's job index maps to a job id through this list.
+    injected: Vec<u64>,
+    anomalies: u64,
 }
 
-/// Fold records (in file order) into a session image. Idempotent:
-/// re-folding a snapshot's own compaction on top of it is a no-op, so
-/// overlapping snapshot + WAL histories merge cleanly.
-pub fn fold_records(records: &[Record]) -> Option<FoldedSession> {
-    let mut image: Option<SessionImage> = None;
-    let mut index: HashMap<u64, usize> = HashMap::new();
-    let mut done: HashMap<u64, Time> = HashMap::new();
-    let mut anomalies = 0u64;
-    for rec in records {
-        let Some(img) = image.as_mut() else {
-            match rec {
-                Record::SessionOpen(meta) => image = Some(SessionImage::new(meta.clone())),
-                _ => anomalies += 1,
-            }
-            continue;
-        };
-        match rec {
+impl SessionLog {
+    /// An empty log: the fold of one `SessionOpen(meta)`.
+    pub fn new(meta: SessionMeta) -> SessionLog {
+        SessionLog::from_image(SessionImage::new(meta))
+    }
+
+    /// Adopt an already folded image, rebuilding only the index.
+    pub fn from_image(image: SessionImage) -> SessionLog {
+        let index = image
+            .jobs
+            .iter()
+            .enumerate()
+            .map(|(i, j)| (j.id, i))
+            .collect();
+        let done = image.completed.iter().copied().collect();
+        let mut injected: Vec<u64> = image
+            .jobs
+            .iter()
+            .filter(|j| matches!(j.phase, JobPhase::Injected { .. }))
+            .map(|j| j.id)
+            .collect();
+        injected.sort_unstable();
+        SessionLog {
+            image,
+            index,
+            done,
+            injected,
+            anomalies: 0,
+        }
+    }
+
+    /// Fold one record. Idempotent: re-applying a record already
+    /// folded (a snapshot's own compaction, or a WAL that overlaps
+    /// it) changes nothing.
+    pub fn apply(&mut self, record: &Record) {
+        match record {
             // A later SessionOpen (the WAL's own, after a snapshot)
             // must agree with the one already folded.
             Record::SessionOpen(meta) => {
-                if *meta != img.meta {
-                    anomalies += 1;
+                if *meta != self.image.meta {
+                    self.anomalies += 1;
                 }
             }
             Record::JobAdmitted { job, dag } => {
-                if !index.contains_key(job) {
-                    index.insert(*job, img.jobs.len());
-                    img.jobs.push(JobImage {
+                if !self.index.contains_key(job) {
+                    self.index.insert(*job, self.image.jobs.len());
+                    self.image.jobs.push(JobImage {
                         id: *job,
                         dag: dag.clone(),
                         phase: JobPhase::Queued,
                     });
                 }
             }
-            Record::JobCancelled { job } => match index.get(job) {
-                Some(&i) => img.jobs[i].phase = JobPhase::Cancelled,
-                None => anomalies += 1,
-            },
-            Record::JobInjected { job, release } => match index.get(job) {
-                Some(&i) => img.jobs[i].phase = JobPhase::Injected { release: *release },
-                None => anomalies += 1,
-            },
+            Record::JobCancelled { job } => self.set_phase(*job, JobPhase::Cancelled),
+            Record::JobInjected { job, release } => {
+                self.set_phase(*job, JobPhase::Injected { release: *release })
+            }
             Record::Quantum {
                 to,
                 busy,
                 idle,
                 completed,
             } => {
+                let img = &mut self.image;
                 img.clock = img.clock.max(*to);
                 img.busy = img.busy.max(*busy);
                 img.idle = img.idle.max(*idle);
                 for &(job, t) in completed {
-                    if done.insert(job, t).is_none() {
+                    if self.done.insert(job, t).is_none() {
                         img.completed.push((job, t));
                     }
                 }
             }
         }
     }
-    image.map(|image| FoldedSession { image, anomalies })
+
+    fn set_phase(&mut self, job: u64, phase: JobPhase) {
+        let Some(&i) = self.index.get(&job) else {
+            self.anomalies += 1;
+            return;
+        };
+        let injected = matches!(phase, JobPhase::Injected { .. });
+        match self.injected.binary_search(&job) {
+            Err(at) if injected => self.injected.insert(at, job),
+            Ok(at) if !injected => {
+                self.injected.remove(at);
+            }
+            _ => {}
+        }
+        self.image.jobs[i].phase = phase;
+    }
+
+    /// The folded session image.
+    pub fn image(&self) -> &SessionImage {
+        &self.image
+    }
+
+    /// The folded session image, by value.
+    pub fn into_image(self) -> SessionImage {
+        self.image
+    }
+
+    /// Records that did not fit the fold: ones referencing unknown job
+    /// ids, a conflicting `SessionOpen`, or anything before the first
+    /// `SessionOpen` — tolerated but counted, like alien frames.
+    pub fn anomalies(&self) -> u64 {
+        self.anomalies
+    }
+
+    /// Job `id`, if it was ever admitted.
+    pub fn job(&self, id: u64) -> Option<&JobImage> {
+        self.index.get(&id).map(|&i| &self.image.jobs[i])
+    }
+
+    /// Completion time of job `id`, once a quantum reported it.
+    pub fn completion(&self, id: u64) -> Option<Time> {
+        self.done.get(&id).copied()
+    }
+
+    /// Injected job ids in injection order: entry `i` is the job the
+    /// engine knows as index `i`.
+    pub fn injected(&self) -> &[u64] {
+        &self.injected
+    }
+
+    /// Injected jobs that have not completed yet.
+    pub fn running(&self) -> usize {
+        self.injected.len().saturating_sub(self.done.len())
+    }
+}
+
+/// Fold records (in file order) into a session log. Idempotent:
+/// re-folding a snapshot's own compaction on top of it is a no-op, so
+/// overlapping snapshot + WAL histories merge cleanly. `None` when no
+/// `SessionOpen` is found.
+pub fn fold_records<'a>(records: impl IntoIterator<Item = &'a Record>) -> Option<SessionLog> {
+    let mut log: Option<SessionLog> = None;
+    let mut orphans = 0u64;
+    for rec in records {
+        match (log.as_mut(), rec) {
+            (Some(log), rec) => log.apply(rec),
+            (None, Record::SessionOpen(meta)) => log = Some(SessionLog::new(meta.clone())),
+            (None, _) => orphans += 1,
+        }
+    }
+    log.map(|mut log| {
+        log.anomalies += orphans;
+        log
+    })
+}
+
+/// A journal directory read under the recovery rules, without opening
+/// anything for append — shared by [`JournalStore::open`] and offline
+/// readers so the two cannot drift.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JournalDir {
+    /// `snap.kj`, if present. Snapshots are written atomically, so a
+    /// corrupt tail is an error rather than something to truncate.
+    pub snapshot: Option<ReadOutcome>,
+    /// `wal.kj`, if present. A file shorter than the header (a crash
+    /// while it was being created) reads as an empty journal whose
+    /// torn bytes are all dropped.
+    pub wal: Option<ReadOutcome>,
+}
+
+impl JournalDir {
+    /// Read `dir`'s snapshot and WAL.
+    pub fn read(dir: &Path) -> io::Result<JournalDir> {
+        let snap_path = JournalStore::snapshot_path(dir);
+        let snapshot = read_file(&snap_path, false)?;
+        if let Some(out) = snapshot.as_ref().filter(|out| out.dropped_bytes > 0) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "snapshot {} has {} corrupt trailing bytes; snapshots are written \
+                     atomically, refusing to guess",
+                    snap_path.display(),
+                    out.dropped_bytes
+                ),
+            ));
+        }
+        let wal = read_file(&JournalStore::wal_path(dir), true)?;
+        Ok(JournalDir { snapshot, wal })
+    }
+
+    /// The files present, snapshot first.
+    fn files(&self) -> impl Iterator<Item = &ReadOutcome> {
+        [&self.snapshot, &self.wal].into_iter().flatten()
+    }
+
+    /// Every record, snapshot first, then the WAL tail.
+    pub fn records(&self) -> impl Iterator<Item = &Record> {
+        self.files().flat_map(|out| &out.records)
+    }
+
+    /// Fold the snapshot, then the WAL on top.
+    pub fn fold(&self) -> Option<SessionLog> {
+        fold_records(self.records())
+    }
+}
+
+/// Read one journal file; `None` if it does not exist. With
+/// `short_is_empty`, a file shorter than the header is an empty
+/// journal rather than an error.
+fn read_file(path: &Path, short_is_empty: bool) -> io::Result<Option<ReadOutcome>> {
+    let bytes = match fs::read(path) {
+        Ok(bytes) => bytes,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    if short_is_empty && bytes.len() < HEADER_LEN as usize {
+        return Ok(Some(ReadOutcome {
+            version: FORMAT_VERSION,
+            records: Vec::new(),
+            valid_len: 0,
+            dropped_bytes: bytes.len() as u64,
+            skipped: 0,
+        }));
+    }
+    let out = read_records(&bytes).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {e}", path.display()),
+        )
+    })?;
+    Ok(Some(out))
 }
 
 /// What `JournalStore::open` found on disk.
@@ -265,57 +450,24 @@ impl JournalStore {
         policy: FsyncPolicy,
     ) -> io::Result<(JournalStore, Option<RecoveredSession>)> {
         fs::create_dir_all(dir)?;
-        let mut records: Vec<Record> = Vec::new();
-        let mut from_snapshot = false;
-        let mut skipped = 0u64;
-
-        let snap_path = Self::snapshot_path(dir);
-        if snap_path.exists() {
-            let bytes = fs::read(&snap_path)?;
-            let out = read_records(&bytes).map_err(not_a_journal(&snap_path))?;
-            if out.dropped_bytes > 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "snapshot {} has {} corrupt trailing bytes; snapshots are written \
-                         atomically, refusing to guess",
-                        snap_path.display(),
-                        out.dropped_bytes
-                    ),
-                ));
-            }
-            skipped += out.skipped;
-            from_snapshot = !out.records.is_empty();
-            records.extend(out.records);
-        }
-
-        let wal_path = Self::wal_path(dir);
-        let mut wal_valid = None;
-        let mut wal_records = 0u64;
-        let mut dropped_bytes = 0u64;
-        if wal_path.exists() {
-            let bytes = fs::read(&wal_path)?;
-            // A file shorter than the header is a crash during
-            // creation: treat as empty. Anything longer must carry
-            // our magic.
-            if bytes.len() >= crate::frame::HEADER_LEN as usize {
-                let out = read_records(&bytes).map_err(not_a_journal(&wal_path))?;
-                skipped += out.skipped;
-                wal_records = out.records.len() as u64;
-                dropped_bytes = out.dropped_bytes;
-                wal_valid = Some(out.valid_len);
-                records.extend(out.records);
-            }
-        }
-
-        let wal = JournalWriter::open(&wal_path, policy, wal_valid)?;
-        let recovered = fold_records(&records).map(|folded| RecoveredSession {
-            image: folded.image,
-            from_snapshot,
+        let files = JournalDir::read(dir)?;
+        let wal_out = files.wal.as_ref();
+        let wal = JournalWriter::open(
+            &Self::wal_path(dir),
+            policy,
+            wal_out.map(|out| out.valid_len),
+        )?;
+        let wal_records = wal_out.map_or(0, |out| out.records.len() as u64);
+        let recovered = files.fold().map(|log| RecoveredSession {
+            anomalies: log.anomalies(),
+            image: log.into_image(),
+            from_snapshot: files
+                .snapshot
+                .as_ref()
+                .is_some_and(|out| !out.records.is_empty()),
             wal_records,
-            dropped_bytes,
-            skipped,
-            anomalies: folded.anomalies,
+            dropped_bytes: wal_out.map_or(0, |out| out.dropped_bytes),
+            skipped: files.files().map(|out| out.skipped).sum(),
         });
         let store = JournalStore {
             dir: dir.to_path_buf(),
@@ -353,10 +505,7 @@ impl JournalStore {
     /// whichever snapshot survived plus the whole WAL to the same image.
     pub fn snapshot(&mut self, image: &SessionImage) -> io::Result<()> {
         let tmp = self.dir.join("snap.kj.tmp");
-        let mut bytes = crate::frame::header_bytes().to_vec();
-        for rec in image.to_records() {
-            crate::frame::append_frame(&mut bytes, &rec);
-        }
+        let bytes = image.snapshot_bytes();
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(&bytes)?;
@@ -393,15 +542,6 @@ impl JournalStore {
         let mut stats = self.wal.stats();
         stats.fsyncs += self.snapshot_fsyncs;
         stats
-    }
-}
-
-fn not_a_journal(path: &Path) -> impl Fn(FrameError) -> io::Error + '_ {
-    move |e| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{}: {e}", path.display()),
-        )
     }
 }
 
@@ -521,11 +661,7 @@ mod tests {
             .image;
 
         // Hand-write the snapshot without touching the WAL.
-        let mut bytes = crate::frame::header_bytes().to_vec();
-        for rec in image.to_records() {
-            crate::frame::append_frame(&mut bytes, &rec);
-        }
-        fs::write(JournalStore::snapshot_path(&dir), &bytes).unwrap();
+        fs::write(JournalStore::snapshot_path(&dir), image.snapshot_bytes()).unwrap();
 
         let (_s, recovered) = JournalStore::open(&dir, FsyncPolicy::Never).unwrap();
         let rec = recovered.unwrap();
@@ -559,7 +695,7 @@ mod tests {
     }
 
     #[test]
-    fn image_to_records_round_trips_through_fold() {
+    fn snapshot_bytes_round_trip_through_fold() {
         let mut image = SessionImage::new(sample_meta());
         image.clock = 9;
         image.busy = 12;
@@ -587,8 +723,15 @@ mod tests {
             },
         ];
         image.completed = vec![(1, 3)];
-        let folded = fold_records(&image.to_records()).unwrap();
-        assert_eq!(folded.image, image);
-        assert_eq!(folded.anomalies, 0);
+        let out = read_records(&image.snapshot_bytes()).unwrap();
+        assert_eq!(out.dropped_bytes, 0);
+        let folded = fold_records(&out.records).unwrap();
+        assert_eq!(folded.image(), &image);
+        assert_eq!(folded.anomalies(), 0);
+        assert_eq!(
+            folded,
+            SessionLog::from_image(image),
+            "fold index = rebuilt index"
+        );
     }
 }

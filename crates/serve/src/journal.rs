@@ -1,28 +1,34 @@
 //! Durability bridge between the daemon and [`kjournal`].
 //!
-//! [`SessionJournal`] wraps the on-disk [`JournalStore`] behind its
-//! own mutex (lock order: `Inner` first, journal second — never the
-//! reverse) and mirrors writer counters into the metrics registry
-//! after every commit. The daemon's invariant is *commit before ack*:
-//! an admission, cancellation, or completion broadcast only reaches
-//! the wire after the corresponding records are flushed to the WAL
-//! with `write(2)` (so they survive `kill -9`; the fsync policy
-//! decides what survives an OS crash).
+//! Every session keeps its [`SessionLog`] in memory: the fold of its
+//! record stream, and the only job table the daemon has. A change to
+//! a session is a [`Record`] folded into that log by the one rule
+//! [`SessionLog::apply`]; when the session is durable the record is
+//! first appended to the WAL through [`SessionJournal`], which wraps
+//! the on-disk [`JournalStore`] behind its own mutex (lock order:
+//! `Inner` first, journal second — never the reverse) and mirrors
+//! writer counters into the metrics registry after every commit. The
+//! daemon's invariant is *commit before ack*: an admission,
+//! cancellation, or completion broadcast only reaches the wire after
+//! the corresponding records are flushed to the WAL with `write(2)`
+//! (so they survive `kill -9`; the fsync policy decides what survives
+//! an OS crash). Snapshots encode the borrowed in-memory image.
 //!
 //! Recovery ([`replay_session`]) is the replay-determinism argument
 //! made operational: the journal persists only the session *inputs*
 //! (config, admitted DAGs, injection releases) plus a digest of the
 //! outputs (clock, busy/idle accumulators, completion times). The
-//! engine is rebuilt by re-injecting the inputs and advancing to the
-//! journaled clock; the rebuilt digest must match the journaled one
+//! folded log is adopted as the session's log as is; the engine is
+//! rebuilt by re-injecting the inputs and advancing to the journaled
+//! clock, and the rebuilt digest must match the journaled one
 //! exactly, in both directions, or recovery refuses to serve. See
 //! DESIGN.md §14.
 
 use crate::metrics::ServiceMetrics;
 use crate::server::ServerConfig;
-use kdag::{DagSpec, JobDag};
-use kjournal::{JobPhase, JournalStats, JournalStore, Record, SessionImage, SessionMeta};
-use ksim::{JobSpec, LiveSimulation, Scheduler, Time};
+use kdag::JobDag;
+use kjournal::{JournalStats, JournalStore, Record, SessionImage, SessionLog, SessionMeta};
+use ksim::{JobSpec, LiveSimulation, Scheduler};
 use ktelemetry::{CounterHandle, GaugeHandle, HistogramHandle};
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -91,19 +97,6 @@ pub fn validate_meta(cfg: &ServerConfig, meta: &SessionMeta) -> io::Result<()> {
     ))
 }
 
-/// One journaled job, rebuilt: the validated DAG plus its lifecycle.
-pub struct RecoveredJob {
-    /// Server-assigned id.
-    pub id: u64,
-    /// The built DAG (validated by [`DagSpec::build`]).
-    pub dag: Arc<JobDag>,
-    /// Journaled lifecycle phase.
-    pub phase: JobPhase,
-    /// Completion time from the *rebuilt engine* (verified against
-    /// the journal), for injected jobs that finished before `clock`.
-    pub completion: Option<Time>,
-}
-
 fn divergence(what: impl std::fmt::Display) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
@@ -111,20 +104,21 @@ fn divergence(what: impl std::fmt::Display) -> io::Error {
     )
 }
 
-/// Rebuild the engine from a journaled [`SessionImage`]: re-inject
-/// every injected job in id (= injection) order with its journaled
-/// release, advance to the journaled clock under the *same* scheduler
-/// instance that will keep serving, and verify the rebuilt digest
-/// (clock, busy/idle, every completion) against the journal in both
-/// directions. Any mismatch is an error, not a warning — serving from
-/// a diverged engine would silently rewrite history.
+/// Rebuild the engine from a recovered [`SessionLog`]: re-inject
+/// every injected job in injection order with its journaled release,
+/// advance to the journaled clock under the *same* scheduler instance
+/// that will keep serving, and verify the rebuilt digest (clock,
+/// busy/idle, every completion) against the log in both directions.
+/// Any mismatch is an error, not a warning — serving from a diverged
+/// engine would silently rewrite history. Returns every job's built
+/// DAG, in id order.
 pub fn replay_session(
     live: &mut LiveSimulation,
     scheduler: &mut dyn Scheduler,
-    image: &SessionImage,
-) -> io::Result<Vec<RecoveredJob>> {
-    let mut jobs = Vec::with_capacity(image.jobs.len());
-    let mut injected: Vec<u64> = Vec::new();
+    log: &SessionLog,
+) -> io::Result<Vec<Arc<JobDag>>> {
+    let image = log.image();
+    let mut dags = Vec::with_capacity(image.jobs.len());
     for (i, j) in image.jobs.iter().enumerate() {
         if j.id != i as u64 {
             return Err(divergence(format!(
@@ -138,26 +132,18 @@ pub fn replay_session(
                 j.id
             ))
         })?;
-        let dag = Arc::new(dag);
-        if let JobPhase::Injected { release } = j.phase {
-            let engine_idx = live
-                .inject(JobSpec {
-                    dag: Arc::clone(&dag),
-                    release,
-                })
-                .map_err(|e| divergence(format!("re-injecting job {}: {e}", j.id)))?;
-            debug_assert_eq!(engine_idx, injected.len());
-            injected.push(j.id);
-        }
-        jobs.push(RecoveredJob {
-            id: j.id,
-            dag,
-            phase: j.phase,
-            completion: None,
-        });
+        dags.push(Arc::new(dag));
+    }
+    for &id in log.injected() {
+        let job = &image.jobs[id as usize];
+        live.inject(JobSpec {
+            dag: Arc::clone(&dags[id as usize]),
+            release: job.phase.release().expect("the log lists injected jobs"),
+        })
+        .map_err(|e| divergence(format!("re-injecting job {id}: {e}")))?;
     }
 
-    if !injected.is_empty() {
+    if !log.injected().is_empty() {
         live.run_until(image.clock, scheduler);
     }
     if live.now() != image.clock {
@@ -180,33 +166,22 @@ pub fn replay_session(
     // Completion digest, both directions: everything the journal acked
     // must have completed at the same virtual time, and nothing may
     // have completed that the journal does not know about.
-    let journaled: std::collections::HashMap<u64, Time> = image.completed.iter().copied().collect();
-    for (engine_idx, &id) in injected.iter().enumerate() {
-        let replayed = live.completion(engine_idx);
-        match (replayed, journaled.get(&id)) {
-            (Some(r), Some(&j)) if r == j => {
-                jobs[id as usize].completion = Some(r);
-            }
-            (None, None) => {}
-            (r, j) => {
-                return Err(divergence(format!(
-                    "job {id}: replayed completion {r:?} vs journaled {j:?}"
-                )));
-            }
+    for (engine_idx, &id) in log.injected().iter().enumerate() {
+        let (replayed, journaled) = (live.completion(engine_idx), log.completion(id));
+        if replayed != journaled {
+            return Err(divergence(format!(
+                "job {id}: replayed completion {replayed:?} vs journaled {journaled:?}"
+            )));
         }
     }
     for &(id, _) in &image.completed {
-        let known = image
-            .jobs
-            .get(id as usize)
-            .is_some_and(|j| matches!(j.phase, JobPhase::Injected { .. }));
-        if !known {
+        if log.injected().binary_search(&id).is_err() {
             return Err(divergence(format!(
                 "journaled completion for job {id}, which was never injected"
             )));
         }
     }
-    Ok(jobs)
+    Ok(dags)
 }
 
 /// Journal health for the `stats` verb.
@@ -274,69 +249,38 @@ impl SessionJournal {
         st.mirrored = now;
     }
 
-    /// Journal the session header for a fresh (non-recovered) session.
-    pub fn log_open(&self, meta: &SessionMeta) -> io::Result<()> {
+    /// Buffer `records` into the WAL. Not durable until [`commit`]:
+    /// injections ride the next group commit (the quantum boundary,
+    /// at the latest), which is safe — until that commit lands, no
+    /// output depending on them has been acknowledged either.
+    ///
+    /// [`commit`]: SessionJournal::commit
+    pub fn append(&self, records: &[Record]) {
         let mut st = self.state.lock().unwrap();
-        st.store.append(&Record::SessionOpen(meta.clone()));
-        st.store.commit()?;
-        self.mirror(&mut st);
-        Ok(())
-    }
-
-    /// Journal and commit a batch admission (ids `base..base + n`)
-    /// *before* the `submitted` ack goes out.
-    pub fn log_admitted(&self, base: u64, specs: &[DagSpec]) -> io::Result<()> {
-        let mut st = self.state.lock().unwrap();
-        for (i, dag) in specs.iter().enumerate() {
-            st.store.append(&Record::JobAdmitted {
-                job: base + i as u64,
-                dag: dag.clone(),
-            });
+        for record in records {
+            st.store.append(record);
+            st.quanta += u64::from(matches!(record, Record::Quantum { .. }));
         }
+    }
+
+    /// Group-commit everything appended so far — *before* the ack or
+    /// broadcast that depends on it.
+    pub fn commit(&self) -> io::Result<()> {
+        let mut st = self.state.lock().unwrap();
         st.store.commit()?;
         self.mirror(&mut st);
         Ok(())
     }
 
-    /// Journal and commit a cancellation before its ack.
-    pub fn log_cancelled(&self, job: u64) -> io::Result<()> {
-        let mut st = self.state.lock().unwrap();
-        st.store.append(&Record::JobCancelled { job });
-        st.store.commit()?;
-        self.mirror(&mut st);
+    /// Snapshot `image` when the cadence says one is due: the number of
+    /// journaled quanta since open is a positive multiple of
+    /// `snapshot_every`. Call once per journaled quantum.
+    pub fn snapshot_if_due(&self, image: &SessionImage) -> io::Result<()> {
+        let quanta = self.state.lock().unwrap().quanta;
+        if self.snapshot_every > 0 && quanta > 0 && quanta.is_multiple_of(self.snapshot_every) {
+            self.snapshot(image)?;
+        }
         Ok(())
-    }
-
-    /// Buffer an injection record. Not committed here — it rides the
-    /// next group commit (the quantum boundary, at the latest), which
-    /// is safe: until the quantum commits, no output depending on this
-    /// injection has been acknowledged either.
-    pub fn note_injected(&self, job: u64, release: Time) {
-        let mut st = self.state.lock().unwrap();
-        st.store.append(&Record::JobInjected { job, release });
-    }
-
-    /// Journal and group-commit one quantum boundary — *before* its
-    /// completions are broadcast. Returns `true` when the snapshot
-    /// cadence says a snapshot is due.
-    pub fn log_quantum(
-        &self,
-        to: Time,
-        busy: u64,
-        idle: u64,
-        completed: &[(u64, Time)],
-    ) -> io::Result<bool> {
-        let mut st = self.state.lock().unwrap();
-        st.store.append(&Record::Quantum {
-            to,
-            busy,
-            idle,
-            completed: completed.to_vec(),
-        });
-        st.store.commit()?;
-        self.mirror(&mut st);
-        st.quanta += 1;
-        Ok(self.snapshot_every > 0 && st.quanta.is_multiple_of(self.snapshot_every))
     }
 
     /// Write a snapshot and truncate the WAL behind it.

@@ -5,7 +5,7 @@
 //! are admitted into a bounded queue with explicit backpressure, and
 //! are injected into the *same* [`ksim::LiveSimulation`] step loop the
 //! offline batch path uses, one quantum at a time. That shared engine
-//! is the deterministic replay bridge: every session records a
+//! is the deterministic replay bridge: every session's log yields a
 //! canonical arrival trace ([`SessionTrace`]) which, replayed through
 //! offline [`ksim::simulate`], reproduces the live per-job completion
 //! times byte for byte — so the paper's bounds and checkers apply to

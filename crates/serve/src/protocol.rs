@@ -166,7 +166,7 @@ pub enum JobState {
 }
 
 impl JobState {
-    fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             JobState::Queued => "queued",
             JobState::Cancelled => "cancelled",

@@ -3,7 +3,7 @@
 //!
 //! A [`Session`] is everything the single-tenant daemon used to be:
 //! its own [`LiveSimulation`] + scheduler instance (the
-//! [`EngineState`]), its own admission queue and job table
+//! [`EngineState`]), its own admission queue and session log
 //! ([`Inner`]), its own telemetry fanout, trace assembler, flight
 //! ring, optional journal directory, and metric series. The [`Swarm`]
 //! owns the map from session name to session, the shared metrics
@@ -21,21 +21,28 @@
 //! metric series unlabeled and its journal at the configured root, so
 //! every v4 client, scrape parser, and recovery path observes
 //! byte-identical output.
+//!
+//! A session's job table *is* its log: the in-memory
+//! [`SessionLog`] fold of its `kjournal` records. Every change is a
+//! [`Record`] — journaled first when the session is durable
+//! ([`Session::commit`], [`Session::append`]), then folded by the same
+//! rule recovery uses — and status, traces, snapshots, and the drained
+//! trace are derived from the fold. A recovered session adopts the
+//! folded log as is.
 
 use crate::journal::{self, SessionJournal};
 use crate::metrics::{ModeTracker, ServiceMetrics};
 use crate::protocol::{Event, SessionSpec};
 use crate::reactor::Waker;
-use crate::replay::{SessionTrace, TraceJob};
 use crate::server::ServerConfig;
 use crate::shard::ShardHandle;
 use kbaselines::SchedulerKind;
-use kdag::{DagSpec, JobDag, SelectionPolicy};
-use kjournal::{JobImage, JobPhase, JournalStore, SessionImage};
+use kdag::{JobDag, SelectionPolicy};
+use kjournal::{JobPhase, JournalDir, JournalStore, Record, SessionLog};
 use ksim::{LiveSimulation, Resources, Scheduler, SimConfig, Time, TimePolicy};
 use ktelemetry::{
-    CounterHandle, FanoutSink, FlightRecorder, GaugeHandle, HistogramHandle, MetricsRegistry,
-    SharedSink, SpanRecorder, TelemetryHandle, TraceAssembler, TraceStamps,
+    CounterHandle, FanoutSink, FlightRecorder, GaugeHandle, MetricsRegistry, SharedSink,
+    SpanRecorder, TelemetryHandle, TraceAssembler, TraceStamps,
 };
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
@@ -45,14 +52,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
-
-/// Lifecycle of one admitted job.
-pub(crate) enum Slot {
-    Queued(Arc<JobDag>),
-    Cancelled,
-    Running { release: Time },
-    Done { release: Time, completion: Time },
-}
 
 /// A simple token bucket: `rate` jobs/second refilled continuously up
 /// to `burst`. `rate == 0` disables the limit entirely.
@@ -99,27 +98,15 @@ impl TokenBucket {
 
 /// Shared state between connection handling and the session's worker.
 pub(crate) struct Inner {
-    pub(crate) queue: VecDeque<u64>,
-    pub(crate) slots: Vec<Slot>,
-    // `DagSpec` per admitted id, kept for journal snapshots (the DAG
-    // itself is dropped from `Slot` once a job is injected).
-    pub(crate) dag_specs: Vec<DagSpec>,
-    pub(crate) engine_to_id: Vec<u64>,
-    pub(crate) inflight: usize,
+    /// The session's log, folded in memory: every admitted job with its
+    /// lifecycle phase and completion, plus the clock and busy/idle
+    /// digest of the last quantum. The only job table; everything the
+    /// verbs report about jobs is derived from it.
+    pub(crate) log: SessionLog,
+    /// Admitted jobs awaiting injection, with their built DAGs.
+    pub(crate) queue: VecDeque<(u64, Arc<JobDag>)>,
     pub(crate) draining: bool,
     pub(crate) drained: bool,
-    pub(crate) trace: Option<SessionTrace>,
-    // Canonical session record, filled at injection / completion.
-    pub(crate) trace_jobs: Vec<TraceJob>,
-    pub(crate) completions: Vec<Time>,
-    // `(id, completion)` in completion order — the journal's view.
-    pub(crate) completed_log: Vec<(u64, Time)>,
-    // Mirrored engine scalars (the engine lives on the session's
-    // pinned worker; these are refreshed after every quantum).
-    pub(crate) now: Time,
-    pub(crate) active: u64,
-    pub(crate) busy_steps: u64,
-    pub(crate) idle_steps: u64,
     // Theorem 3 accumulators over injected jobs: Σ T1(J, α) per
     // category, and max (T∞(J) + r(J)).
     pub(crate) work_by_cat: Vec<u64>,
@@ -135,17 +122,23 @@ pub(crate) struct Inner {
     pub(crate) slo_breached: bool,
     // Per-session admission rate limit, checked before enqueue.
     pub(crate) quota: TokenBucket,
-    // Service metrics (registry-backed atomic handles; clones of the
-    // instruments in `Session::metrics`).
-    pub(crate) admitted: CounterHandle,
-    pub(crate) rejections: CounterHandle,
-    pub(crate) completed: CounterHandle,
-    pub(crate) cancelled: CounterHandle,
-    pub(crate) quanta: CounterHandle,
-    pub(crate) queue_depth: HistogramHandle,
-    pub(crate) quantum_latency_us: HistogramHandle,
     pub(crate) max_queue_depth: u64,
     pub(crate) watchers: Vec<mpsc::Sender<Event>>,
+}
+
+impl Inner {
+    /// Admitted jobs not yet complete: queued plus running.
+    pub(crate) fn inflight(&self) -> usize {
+        self.queue.len() + self.log.running()
+    }
+
+    /// Add an injected job to the Theorem 3 accumulators.
+    pub(crate) fn account_injected(&mut self, dag: &JobDag, release: Time) {
+        for (cat, &w) in self.work_by_cat.iter_mut().zip(dag.work_by_category()) {
+            *cat += w;
+        }
+        self.span_release_max = self.span_release_max.max(dag.span() + release);
+    }
 }
 
 /// The engine half of a session: owned exclusively by the worker the
@@ -239,6 +232,27 @@ impl Session {
     pub(crate) fn broadcast(inner: &mut Inner, event: Event) {
         inner.watchers.retain(|w| w.send(event.clone()).is_ok());
     }
+
+    /// Write-ahead: journal and commit `records` (when the session is
+    /// durable), then fold them into the log. On a journal error
+    /// nothing is folded, so the caller can refuse without undoing.
+    pub(crate) fn commit(&self, log: &mut SessionLog, records: &[Record]) -> io::Result<()> {
+        if let Some(j) = &self.journal {
+            j.append(records);
+            j.commit()?;
+        }
+        records.iter().for_each(|r| log.apply(r));
+        Ok(())
+    }
+
+    /// Fold `record` into the log, buffering it into the journal to
+    /// ride the next group commit.
+    pub(crate) fn append(&self, log: &mut SessionLog, record: Record) {
+        if let Some(j) = &self.journal {
+            j.append(std::slice::from_ref(&record));
+        }
+        log.apply(&record);
+    }
 }
 
 /// A per-process session nonce for trace ids: wall-clock nanoseconds
@@ -264,97 +278,30 @@ pub(crate) fn dominant_cat_span(dag: &JobDag) -> (usize, u64) {
     (cat, dag.span())
 }
 
-/// The journal's view of a session, built from the job table under
-/// the `Inner` lock (the mirrored scalars were refreshed by the same
-/// quantum that triggered the snapshot).
-pub(crate) fn session_image(cfg: &ServerConfig, g: &Inner) -> SessionImage {
-    let mut image = SessionImage::new(journal::session_meta(cfg));
-    image.clock = g.now;
-    image.busy = g.busy_steps;
-    image.idle = g.idle_steps;
-    image.completed = g.completed_log.clone();
-    image.jobs = g
-        .slots
-        .iter()
-        .enumerate()
-        .map(|(id, slot)| JobImage {
-            id: id as u64,
-            dag: g.dag_specs[id].clone(),
-            phase: match slot {
-                Slot::Queued(_) => JobPhase::Queued,
-                Slot::Cancelled => JobPhase::Cancelled,
-                Slot::Running { release } | Slot::Done { release, .. } => {
-                    JobPhase::Injected { release: *release }
-                }
-            },
-        })
-        .collect();
-    image
-}
-
-/// Seed the job table from a verified recovery: the inverse of
-/// [`session_image`], plus the engine-side vectors (`engine_to_id`,
-/// trace, Theorem 3 accumulators) that replay re-derives.
-fn rebuild_inner(
+/// Seed a fresh session from a verified recovery: adopt the folded log
+/// as is, queue its queued jobs, and re-derive what the log does not
+/// hold (Theorem 3 accumulators, admission labels, counters, gauges).
+fn adopt_recovered(
     g: &mut Inner,
     metrics: &ServiceMetrics,
-    image: &SessionImage,
-    jobs: &[journal::RecoveredJob],
+    log: SessionLog,
+    dags: Vec<Arc<JobDag>>,
     live: &LiveSimulation,
 ) {
-    let mut done = 0u64;
-    let mut cancelled = 0u64;
-    for job in jobs {
-        g.dag_specs.push(image.jobs[job.id as usize].dag.clone());
+    for (job, dag) in log.image().jobs.iter().zip(dags) {
         // Wall-clock stamps do not survive a restart (the monotonic
         // epoch is new); slowdown accounting re-derives its inputs.
         g.stamps.push(TraceStamps::default());
-        g.cat_span.push(dominant_cat_span(&job.dag));
+        g.cat_span.push(dominant_cat_span(&dag));
         match job.phase {
-            JobPhase::Queued => {
-                g.slots.push(Slot::Queued(Arc::clone(&job.dag)));
-                g.queue.push_back(job.id);
-                g.inflight += 1;
-            }
-            JobPhase::Cancelled => {
-                g.slots.push(Slot::Cancelled);
-                cancelled += 1;
-            }
-            JobPhase::Injected { release } => {
-                g.engine_to_id.push(job.id);
-                g.trace_jobs.push(TraceJob {
-                    dag: image.jobs[job.id as usize].dag.clone(),
-                    release,
-                });
-                g.completions.push(job.completion.unwrap_or(0));
-                for (cat, &w) in g.work_by_cat.iter_mut().zip(job.dag.work_by_category()) {
-                    *cat += w;
-                }
-                g.span_release_max = g.span_release_max.max(job.dag.span() + release);
-                match job.completion {
-                    Some(completion) => {
-                        g.slots.push(Slot::Done {
-                            release,
-                            completion,
-                        });
-                        done += 1;
-                    }
-                    None => {
-                        g.slots.push(Slot::Running { release });
-                        g.inflight += 1;
-                    }
-                }
-            }
+            JobPhase::Queued => g.queue.push_back((job.id, dag)),
+            JobPhase::Cancelled => metrics.cancelled.incr(),
+            JobPhase::Injected { release } => g.account_injected(&dag, release),
         }
     }
-    g.completed_log = image.completed.clone();
-    g.now = live.now();
-    g.active = live.active_jobs() as u64;
-    g.busy_steps = live.busy_steps();
-    g.idle_steps = live.idle_steps();
-    g.admitted.add(jobs.len() as u64);
-    g.completed.add(done);
-    g.cancelled.add(cancelled);
+    metrics.admitted.add(log.image().jobs.len() as u64);
+    metrics.completed.add(log.image().completed.len() as u64);
+    g.log = log;
     metrics.virtual_time.set_u64(live.now());
     metrics.busy_steps.set_u64(live.busy_steps());
     metrics.idle_steps.set_u64(live.idle_steps());
@@ -487,40 +434,25 @@ impl Swarm {
             }
             // Peek the journaled meta to rebuild the session's config
             // (scheduler, quantum, seed, …) exactly as journaled.
-            let (store, recovered) = JournalStore::open(&entry.path(), self.cfg.fsync)?;
-            drop(store);
-            let Some(rec) = recovered else { continue };
+            let Some(log) = JournalDir::read(&entry.path())?.fold() else {
+                continue;
+            };
             let mut cfg = derive_session_cfg(&self.cfg, &name, &SessionSpec::default())
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-            let meta = &rec.image.meta;
+            let meta = &log.image().meta;
+            let unknown = |what: &str, label: &str| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("session '{name}': unknown journaled {what} '{label}'"),
+                )
+            };
             cfg.machine = meta.machine.clone();
-            cfg.scheduler = SchedulerKind::from_label(&meta.scheduler).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "session '{name}': unknown journaled scheduler '{}'",
-                        meta.scheduler
-                    ),
-                )
-            })?;
-            cfg.policy = SelectionPolicy::from_name(&meta.policy).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "session '{name}': unknown journaled policy '{}'",
-                        meta.policy
-                    ),
-                )
-            })?;
-            cfg.time_policy = TimePolicy::from_label(&meta.time_policy).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "session '{name}': unknown journaled time policy '{}'",
-                        meta.time_policy
-                    ),
-                )
-            })?;
+            cfg.scheduler = SchedulerKind::from_label(&meta.scheduler)
+                .ok_or_else(|| unknown("scheduler", &meta.scheduler))?;
+            cfg.policy = SelectionPolicy::from_name(&meta.policy)
+                .ok_or_else(|| unknown("policy", &meta.policy))?;
+            cfg.time_policy = TimePolicy::from_label(&meta.time_policy)
+                .ok_or_else(|| unknown("time policy", &meta.time_policy))?;
             cfg.quantum = meta.quantum;
             cfg.seed = meta.seed;
             let shard = self.shard_of(&name);
@@ -818,34 +750,16 @@ pub(crate) fn create_session(
     let session = Arc::new(Session {
         name,
         inner: Mutex::new(Inner {
+            log: SessionLog::new(journal::session_meta(&cfg)),
             queue: VecDeque::new(),
-            slots: Vec::new(),
-            dag_specs: Vec::new(),
-            engine_to_id: Vec::new(),
-            inflight: 0,
             draining: false,
             drained: false,
-            trace: None,
-            trace_jobs: Vec::new(),
-            completions: Vec::new(),
-            completed_log: Vec::new(),
-            now: 0,
-            active: 0,
-            busy_steps: 0,
-            idle_steps: 0,
             work_by_cat: vec![0; k],
             span_release_max: 0,
             stamps: Vec::new(),
             cat_span: Vec::new(),
             slo_breached: false,
             quota: TokenBucket::new(cfg.session_rate, cfg.session_burst),
-            admitted: metrics.admitted.clone(),
-            rejections: metrics.rejected.clone(),
-            completed: metrics.completed.clone(),
-            cancelled: metrics.cancelled.clone(),
-            quanta: metrics.quanta.clone(),
-            queue_depth: metrics.queue_depth_at_admit.clone(),
-            quantum_latency_us: metrics.quantum_latency_us.clone(),
             max_queue_depth: 0,
             watchers: Vec::new(),
         }),
@@ -884,20 +798,19 @@ pub(crate) fn create_session(
         Some(rec) => {
             let t0 = Instant::now();
             journal::validate_meta(cfg, &rec.image.meta)?;
-            let jobs = journal::replay_session(&mut live, scheduler.as_mut(), &rec.image)?;
-            let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
             let counts = rec.image.counts();
-            {
-                let mut g = session.inner.lock().unwrap();
-                rebuild_inner(&mut g, &session.metrics, &rec.image, &jobs, &live);
-            }
+            let log = SessionLog::from_image(rec.image);
+            let dags = journal::replay_session(&mut live, scheduler.as_mut(), &log)?;
+            let recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let mut g = session.inner.lock().unwrap();
+            adopt_recovered(&mut g, &session.metrics, log, dags, &live);
             session.metrics.recovery_duration_ms.set(recovery_ms);
             // Compact immediately: a crash-restart loop must not grow
             // the WAL without bound.
             if let Some(j) = &session.journal {
-                let g = session.inner.lock().unwrap();
-                j.snapshot(&session_image(cfg, &g))?;
+                j.snapshot(g.log.image())?;
             }
+            let image = g.log.image();
             let who = if session.name.is_empty() {
                 String::new()
             } else {
@@ -907,12 +820,12 @@ pub(crate) fn create_session(
                 "kserve: recovered session{who} from journal ({} jobs: {} done, {} running, \
                  {} queued, {} cancelled; clock {}; {} WAL records{}), replay verified \
                  in {recovery_ms:.1} ms",
-                rec.image.jobs.len(),
+                image.jobs.len(),
                 counts.3,
                 counts.1,
                 counts.0,
                 counts.2,
-                rec.image.clock,
+                image.clock,
                 rec.wal_records,
                 if rec.dropped_bytes > 0 {
                     format!(", {} torn bytes truncated", rec.dropped_bytes)
@@ -922,9 +835,11 @@ pub(crate) fn create_session(
             );
         }
         None => {
-            if let Some(j) = &session.journal {
-                j.log_open(&journal::session_meta(cfg))?;
-            }
+            let mut g = session.inner.lock().unwrap();
+            session.commit(
+                &mut g.log,
+                &[Record::SessionOpen(journal::session_meta(cfg))],
+            )?;
         }
     }
 

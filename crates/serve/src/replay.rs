@@ -1,8 +1,10 @@
 //! The deterministic replay bridge.
 //!
-//! Every accepted session records a [`SessionTrace`]: the engine
+//! Every accepted session yields a [`SessionTrace`]: the engine
 //! configuration plus the `(dag, release)` sequence in injection order
-//! and the completion times the live engine produced. Because the
+//! and the completion times the live engine produced — derived from
+//! the session's log ([`kjournal::SessionLog`]), not recorded beside
+//! it. Because the
 //! daemon's quantum loop and the offline batch path execute the *same*
 //! [`ksim::LiveSimulation`] step loop, replaying the trace through
 //! [`ksim::simulate`] reproduces the server's outcome exactly — the
@@ -13,8 +15,10 @@
 //! offline and compares the canonical JSON encoding of the completion
 //! vectors **byte for byte**.
 
+use crate::server::ServerConfig;
 use kbaselines::SchedulerKind;
 use kdag::{DagSpec, SelectionPolicy};
+use kjournal::SessionLog;
 use ksim::{simulate, JobSpec, Resources, SimConfig, SimOutcome, Time};
 use ktelemetry::{json, schema, TelemetryHandle};
 
@@ -64,6 +68,32 @@ schema!(SessionTrace {
 });
 
 impl SessionTrace {
+    /// The canonical trace of a session served under `cfg`, derived
+    /// from its log: the injected jobs in id order, which is injection
+    /// order, with their releases and completions (0 while running).
+    pub(crate) fn from_log(cfg: &ServerConfig, log: &SessionLog) -> SessionTrace {
+        let injected = log.injected();
+        SessionTrace {
+            machine: cfg.machine.clone(),
+            scheduler: cfg.scheduler,
+            policy: cfg.policy,
+            quantum: cfg.quantum,
+            seed: cfg.seed,
+            jobs: injected
+                .iter()
+                .filter_map(|&id| log.job(id))
+                .map(|job| TraceJob {
+                    dag: job.dag.clone(),
+                    release: job.phase.release().unwrap_or_default(),
+                })
+                .collect(),
+            completions: injected
+                .iter()
+                .map(|&id| log.completion(id).unwrap_or(0))
+                .collect(),
+        }
+    }
+
     /// Canonical JSON encoding (fixed field order, no whitespace).
     pub fn encode(&self) -> String {
         json::encode(self)

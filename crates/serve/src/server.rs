@@ -14,7 +14,7 @@
 //! a `rejected` reply (backpressure), never unbounded buffering.
 //! Draining the daemon stops admission everywhere, finishes every
 //! acknowledged job in every session, publishes each canonical
-//! [`SessionTrace`](crate::replay::SessionTrace), and shuts the
+//! [`SessionTrace`] (derived from the session's log), and shuts the
 //! listeners down; closing one named session does the same for that
 //! session alone.
 
@@ -24,11 +24,12 @@ use crate::protocol::{
     StatusReply, TraceReply, PROTOCOL_VERSION,
 };
 use crate::reactor::{self, Listener};
-use crate::registry::{self, Session, Slot, Swarm};
+use crate::registry::{self, Session, Swarm};
+use crate::replay::SessionTrace;
 use crate::shard;
 use kbaselines::SchedulerKind;
 use kdag::{DagSpec, JobDag, SelectionPolicy};
-use kjournal::FsyncPolicy;
+use kjournal::{FsyncPolicy, JobImage, JobPhase, Record, SessionLog};
 use ksim::TimePolicy;
 use ktelemetry::{SpanKind, SpanRecorder, TelemetryHandle, TraceStamps};
 use kworkloads::{rng_for, scenarios};
@@ -346,25 +347,28 @@ pub(crate) struct WatchState {
 }
 
 impl WatchState {
-    /// Resolve every still-unreported job from the session's final job
-    /// table (used when a drain seals the session under a live watch).
+    /// Resolve every still-unreported job from the session's final log
+    /// (used when a drain seals the session under a live watch).
     pub(crate) fn resolve_stragglers(&self) -> Vec<Event> {
         let g = self.session.inner.lock().unwrap();
         self.remaining
             .iter()
-            .map(|&id| match &g.slots[id as usize] {
-                Slot::Done {
-                    release,
-                    completion,
-                } => Event::JobDone {
-                    job: id,
-                    release: *release,
-                    completion: *completion,
-                    response: *completion - *release,
-                    trace_id: self.session.trace_id(id),
+            .map(
+                |&id| match g.log.job(id).map(|job| job_status(&g.log, job)) {
+                    Some(JobStatus {
+                        release: Some(release),
+                        completion: Some(completion),
+                        ..
+                    }) => Event::JobDone {
+                        job: id,
+                        release,
+                        completion,
+                        response: completion - release,
+                        trace_id: self.session.trace_id(id),
+                    },
+                    _ => Event::JobCancelled { job: id },
                 },
-                _ => Event::JobCancelled { job: id },
-            })
+            )
             .collect()
     }
 }
@@ -415,7 +419,7 @@ fn admit(session: &Arc<Session>, swarm: &Swarm, dags: Vec<JobDag>, watch: bool) 
     let n = dags.len();
     let mut g = session.inner.lock().unwrap();
     let reject = |g: &mut registry::Inner, reason: &str| {
-        g.rejections.add(n as u64);
+        session.metrics.rejected.add(n as u64);
         let depth = g.queue.len() as u64;
         Outcome::Reply(Response::Rejected {
             reason: reason.to_string(),
@@ -434,40 +438,40 @@ fn admit(session: &Arc<Session>, swarm: &Swarm, dags: Vec<JobDag>, watch: bool) 
     if g.queue.len() + n > cfg.queue_capacity {
         return reject(&mut g, "queue full");
     }
-    if g.inflight + n > cfg.max_inflight {
+    if g.inflight() + n > cfg.max_inflight {
         return reject(&mut g, "too many jobs in flight");
     }
     // Write-ahead: the admission must be durable before anything is
     // mutated or acknowledged. On a journal error nothing changed, so
     // the client sees an error and can retry safely.
-    let specs: Vec<DagSpec> = dags.iter().map(DagSpec::from_dag).collect();
-    if let Some(j) = &session.journal {
-        let base = g.slots.len() as u64;
-        if let Err(e) = j.log_admitted(base, &specs) {
-            return Outcome::Reply(Response::Error {
-                message: format!("journal write failed, submission not accepted: {e}"),
-            });
-        }
+    let base = g.log.image().jobs.len() as u64;
+    let records: Vec<Record> = (base..)
+        .zip(&dags)
+        .map(|(job, dag)| Record::JobAdmitted {
+            job,
+            dag: DagSpec::from_dag(dag),
+        })
+        .collect();
+    if let Err(e) = session.commit(&mut g.log, &records) {
+        return Outcome::Reply(Response::Error {
+            message: format!("journal write failed, submission not accepted: {e}"),
+        });
     }
     let admit_ns = session.elapsed_ns();
     let mut ids = Vec::with_capacity(n);
-    for (dag, spec) in dags.into_iter().zip(specs) {
-        let id = g.slots.len() as u64;
+    for (id, dag) in (base..).zip(dags) {
         g.cat_span.push(registry::dominant_cat_span(&dag));
         g.stamps.push(TraceStamps {
             submit_ns: Some(submit_ns),
             admit_ns: Some(admit_ns),
             ..TraceStamps::default()
         });
-        g.slots.push(Slot::Queued(Arc::new(dag)));
-        g.dag_specs.push(spec);
-        g.queue.push_back(id);
+        g.queue.push_back((id, Arc::new(dag)));
         ids.push(id);
     }
-    g.inflight += n;
-    g.admitted.add(n as u64);
+    session.metrics.admitted.add(n as u64);
     let depth = g.queue.len() as u64;
-    g.queue_depth.record(depth);
+    session.metrics.queue_depth_at_admit.record(depth);
     g.max_queue_depth = g.max_queue_depth.max(depth);
     // Register the watcher under the same lock so no completion can
     // slip between the ack and the subscription.
@@ -515,51 +519,41 @@ fn expand_scenario(sc: &ScenarioRef, k: usize) -> Result<Vec<JobDag>, String> {
     Ok(jobs)
 }
 
+/// Job `job`'s lifecycle as the session log records it.
+fn job_status(log: &SessionLog, job: &JobImage) -> JobStatus {
+    let release = job.phase.release();
+    let completion = release.and(log.completion(job.id));
+    let state = match (job.phase, completion) {
+        (JobPhase::Queued, _) => JobState::Queued,
+        (JobPhase::Cancelled, _) => JobState::Cancelled,
+        (JobPhase::Injected { .. }, None) => JobState::Running,
+        (JobPhase::Injected { .. }, Some(_)) => JobState::Done,
+    };
+    JobStatus {
+        job: job.id,
+        state,
+        release,
+        completion,
+    }
+}
+
 fn status_reply(g: &registry::Inner) -> StatusReply {
+    let image = g.log.image();
     StatusReply {
-        now: g.now,
+        now: image.clock,
         queued: g.queue.len() as u64,
-        active: g.active,
+        active: g.log.running() as u64,
         draining: g.draining,
-        jobs: g
-            .slots
+        jobs: image
+            .jobs
             .iter()
-            .enumerate()
-            .map(|(id, slot)| match slot {
-                Slot::Queued(_) => JobStatus {
-                    job: id as u64,
-                    state: JobState::Queued,
-                    release: None,
-                    completion: None,
-                },
-                Slot::Cancelled => JobStatus {
-                    job: id as u64,
-                    state: JobState::Cancelled,
-                    release: None,
-                    completion: None,
-                },
-                Slot::Running { release } => JobStatus {
-                    job: id as u64,
-                    state: JobState::Running,
-                    release: Some(*release),
-                    completion: None,
-                },
-                Slot::Done {
-                    release,
-                    completion,
-                } => JobStatus {
-                    job: id as u64,
-                    state: JobState::Done,
-                    release: Some(*release),
-                    completion: Some(*completion),
-                },
-            })
+            .map(|job| job_status(&g.log, job))
             .collect(),
     }
 }
 
 fn stats_reply(g: &registry::Inner, session: &Session, sessions: u64) -> StatsReply {
-    let latency = g.quantum_latency_us.snapshot();
+    let latency = session.metrics.quantum_latency_us.snapshot();
     let response = session.metrics.response_all.snapshot();
     let slowdown = session.metrics.slowdown_all.snapshot();
     let health = session
@@ -571,16 +565,16 @@ fn stats_reply(g: &registry::Inner, session: &Session, sessions: u64) -> StatsRe
     // registry reads the same histograms the quantum loop records into.
     let spans = SpanRecorder::for_registry(session.metrics.registry());
     StatsReply {
-        admitted: g.admitted.get(),
-        rejected: g.rejections.get(),
-        completed: g.completed.get(),
-        cancelled: g.cancelled.get(),
+        admitted: session.metrics.admitted.get(),
+        rejected: session.metrics.rejected.get(),
+        completed: session.metrics.completed.get(),
+        cancelled: session.metrics.cancelled.get(),
         queue_depth: g.queue.len() as u64,
         max_queue_depth: g.max_queue_depth,
-        now: g.now,
-        busy_steps: g.busy_steps,
-        idle_steps: g.idle_steps,
-        quanta: g.quanta.get(),
+        now: g.log.image().clock,
+        busy_steps: g.log.image().busy,
+        idle_steps: g.log.image().idle,
+        quanta: session.metrics.quanta.get(),
         quantum_latency_mean_us: latency.mean(),
         quantum_latency_p50_us: latency.quantile(0.50),
         quantum_latency_p95_us: latency.quantile(0.95),
@@ -624,21 +618,15 @@ fn stats_reply(g: &registry::Inner, session: &Session, sessions: u64) -> StatsRe
 }
 
 /// Assemble the `trace` reply for one admitted job: lifecycle state
-/// from the job table, engine-time spans from the live
+/// from the session log, engine-time spans from the live
 /// [`ktelemetry::TraceAssembler`], wall stamps from the admission/
 /// injection/completion bookkeeping. `None` for ids never admitted.
 fn trace_reply(g: &registry::Inner, session: &Session, job: u64) -> Option<TraceReply> {
-    let slot = g.slots.get(job as usize)?;
-    let state = match slot {
-        Slot::Queued(_) => "queued",
-        Slot::Cancelled => "cancelled",
-        Slot::Running { .. } => "running",
-        Slot::Done { .. } => "done",
-    };
+    let status = job_status(&g.log, g.log.job(job)?);
     let mut reply = TraceReply {
         job,
         trace_id: session.trace_id(job),
-        state: state.to_string(),
+        state: status.state.name().to_string(),
         ..TraceReply::default()
     };
     if let Some(stamps) = g.stamps.get(job as usize) {
@@ -649,7 +637,7 @@ fn trace_reply(g: &registry::Inner, session: &Session, job: u64) -> Option<Trace
     }
     // Engine-side spans exist only once the job was injected; the
     // engine indexes jobs by injection order, not admission id.
-    if let Some(engine_idx) = g.engine_to_id.iter().position(|&id| id == job) {
+    if let Ok(engine_idx) = g.log.injected().binary_search(&job) {
         if let Ok(assembler) = session.traces.lock() {
             if let Some(trace) = assembler.job(engine_idx as u32) {
                 reply.release = trace.release;
@@ -676,13 +664,13 @@ fn durability_label(session: &Session) -> String {
 /// reported `drained`).
 pub(crate) fn drain_reply_for(session: &Session) -> DrainReply {
     let g = session.inner.lock().unwrap();
-    let trace = g.trace.clone().expect("drained session has a trace");
+    debug_assert!(g.drained, "drain reply for a session still serving");
     DrainReply {
-        admitted: g.admitted.get(),
-        completed: g.completed.get(),
-        cancelled: g.cancelled.get(),
-        rejected: g.rejections.get(),
-        trace,
+        admitted: session.metrics.admitted.get(),
+        completed: session.metrics.completed.get(),
+        cancelled: session.metrics.cancelled.get(),
+        rejected: session.metrics.rejected.get(),
+        trace: SessionTrace::from_log(&session.cfg, &g.log),
     }
 }
 
@@ -751,7 +739,7 @@ pub(crate) fn dispatch(line: &str, swarm: &Arc<Swarm>) -> Outcome {
             let s = swarm
                 .resolve("")
                 .expect("default session always registered");
-            let now = s.inner.lock().unwrap().now;
+            let now = s.inner.lock().unwrap().log.image().clock;
             Outcome::Reply(Response::Hello(HelloReply {
                 version: PROTOCOL_VERSION,
                 scheduler: s.cfg.scheduler.label().to_string(),
@@ -800,23 +788,17 @@ pub(crate) fn dispatch(line: &str, swarm: &Arc<Swarm>) -> Outcome {
                 Err(out) => return out,
             };
             let mut g = s.inner.lock().unwrap();
-            match g.slots.get(job as usize) {
-                Some(Slot::Queued(_)) => {
+            match g.log.job(job).map(|j| j.phase) {
+                Some(JobPhase::Queued) => {
                     // Write-ahead, like admission: durable before the
-                    // slot flips or the ack goes out.
-                    if let Some(j) = &s.journal {
-                        if let Err(e) = j.log_cancelled(job) {
-                            return Outcome::Reply(Response::Error {
-                                message: format!(
-                                    "journal write failed, job {job} not cancelled: {e}"
-                                ),
-                            });
-                        }
+                    // log changes or the ack goes out.
+                    if let Err(e) = s.commit(&mut g.log, &[Record::JobCancelled { job }]) {
+                        return Outcome::Reply(Response::Error {
+                            message: format!("journal write failed, job {job} not cancelled: {e}"),
+                        });
                     }
-                    g.slots[job as usize] = Slot::Cancelled;
-                    g.queue.retain(|&id| id != job);
-                    g.inflight -= 1;
-                    g.cancelled.incr();
+                    g.queue.retain(|&(id, _)| id != job);
+                    s.metrics.cancelled.incr();
                     Session::broadcast(&mut g, Event::JobCancelled { job });
                     Outcome::Reply(Response::Cancelled { job })
                 }
@@ -972,8 +954,8 @@ mod tests {
         assert!(matches!(r, Response::Submitted { ref jobs, .. } if jobs == &[3]));
         let s = swarm.resolve("").unwrap();
         let g = s.inner.lock().unwrap();
-        assert_eq!(g.admitted.get(), 4);
-        assert_eq!(g.rejections.get(), 2);
+        assert_eq!(s.metrics.admitted.get(), 4);
+        assert_eq!(s.metrics.rejected.get(), 2);
         assert_eq!(g.max_queue_depth, 4);
     }
 
@@ -1008,7 +990,7 @@ mod tests {
             other => panic!("expected status, got {other:?}"),
         }
         let s = swarm.resolve("").unwrap();
-        assert_eq!(s.inner.lock().unwrap().inflight, 1);
+        assert_eq!(s.inner.lock().unwrap().inflight(), 1);
     }
 
     #[test]
@@ -1025,7 +1007,7 @@ mod tests {
         let r = reply(dispatch(line, &swarm));
         assert!(matches!(r, Response::Error { ref message } if message.contains("invalid DAG")));
         let s = swarm.resolve("").unwrap();
-        assert_eq!(s.inner.lock().unwrap().admitted.get(), 0);
+        assert_eq!(s.metrics.admitted.get(), 0);
     }
 
     #[test]

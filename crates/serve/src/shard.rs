@@ -7,14 +7,19 @@
 //! deterministic. The worker runs the same quantum loop the old
 //! single-tenant scheduler thread ran ([`pump_session`]), round-robin
 //! across its sessions: inject admitted jobs, advance one quantum
-//! unlocked, publish completions (journal commit *before* any
-//! broadcast), then move on. A worker with no runnable session parks
-//! on its [`ShardHandle`] condvar; admissions, cancels, and drains
-//! wake only the owning shard, so submits never contend across shards.
+//! unlocked, publish completions, then move on. Each injection and
+//! each quantum boundary is a `kjournal::Record` folded into the
+//! session's log (the quantum committed to the journal *before* any
+//! broadcast); completions are read back from that log, and the
+//! drained session's trace and snapshot are derived from it, so the
+//! worker keeps no job table of its own. A worker with no runnable
+//! session parks on its [`ShardHandle`] condvar; admissions, cancels,
+//! and drains wake only the owning shard, so submits never contend
+//! across shards.
 
 use crate::protocol::Event;
-use crate::registry::{session_image, EngineState, Inner, Session, Slot, Swarm};
-use crate::replay::{SessionTrace, TraceJob};
+use crate::registry::{EngineState, Inner, Session, Swarm};
+use kjournal::Record;
 use ksim::{JobSpec, LiveSimulation, Time};
 use ktelemetry::{FlightRecorder, SpanKind, TelemetryEvent, TelemetrySink};
 use std::path::{Path, PathBuf};
@@ -178,12 +183,8 @@ pub(crate) fn pump_session(s: &Arc<Session>, swarm: &Swarm) -> bool {
     // Publish.
     {
         let mut g = s.inner.lock().unwrap();
-        g.quanta.incr();
-        g.quantum_latency_us.record(latency_us);
-        g.now = live.now();
-        g.active = live.active_jobs() as u64;
-        g.busy_steps = live.busy_steps();
-        g.idle_steps = live.idle_steps();
+        s.metrics.quanta.incr();
+        s.metrics.quantum_latency_us.record(latency_us);
         s.metrics
             .update_bounds(&cfg.machine, &g.work_by_cat, g.span_release_max);
         let done_jobs: Vec<(u64, Time)> = done_buf
@@ -192,32 +193,25 @@ pub(crate) fn pump_session(s: &Arc<Session>, swarm: &Swarm) -> bool {
                 let completion = live
                     .completion(engine_idx)
                     .expect("just-completed job has a completion time");
-                (g.engine_to_id[engine_idx], completion)
+                (g.log.injected()[engine_idx], completion)
             })
             .collect();
         // Commit the quantum (and any injections buffered at its
         // start) before a single completion is broadcast: a
         // `kill -9` after this point replays to the same state.
-        let mut snapshot_due = false;
-        if let Some(j) = &s.journal {
-            snapshot_due = j
-                .log_quantum(live.now(), live.busy_steps(), live.idle_steps(), &done_jobs)
-                .expect("journal commit failed; cannot acknowledge unjournaled completions");
-        }
+        let quantum = Record::Quantum {
+            to: live.now(),
+            busy: live.busy_steps(),
+            idle: live.idle_steps(),
+            completed: done_jobs.clone(),
+        };
+        s.commit(&mut g.log, &[quantum])
+            .expect("journal commit failed; cannot acknowledge unjournaled completions");
         let complete_ns = s.elapsed_ns();
-        for (&engine_idx, &(id, completion)) in done_buf.iter().zip(&done_jobs) {
-            let release = match g.slots[id as usize] {
-                Slot::Running { release } => release,
-                _ => unreachable!("completed job must be running"),
-            };
-            g.slots[id as usize] = Slot::Done {
-                release,
-                completion,
-            };
-            g.completions[engine_idx] = completion;
-            g.completed_log.push((id, completion));
-            g.inflight -= 1;
-            g.completed.incr();
+        for (id, completion) in done_jobs {
+            let release = g.log.job(id).and_then(|j| j.phase.release());
+            let release = release.expect("completed job must have been injected");
+            s.metrics.completed.incr();
             g.stamps[id as usize].complete_ns = Some(complete_ns);
             let (cat, span) = g.cat_span[id as usize];
             s.metrics.record_completion(cat, completion - release, span);
@@ -258,12 +252,10 @@ pub(crate) fn pump_session(s: &Arc<Session>, swarm: &Swarm) -> bool {
                 g.slo_breached = false;
             }
         }
-        if snapshot_due {
-            if let Some(j) = &s.journal {
-                if let Err(e) = j.snapshot(&session_image(cfg, &g)) {
-                    // The WAL is still intact — degraded, not fatal.
-                    eprintln!("kserve: journal snapshot failed: {e}");
-                }
+        if let Some(j) = &s.journal {
+            if let Err(e) = j.snapshot_if_due(g.log.image()) {
+                // The WAL is still intact — degraded, not fatal.
+                eprintln!("kserve: journal snapshot failed: {e}");
             }
         }
         if cfg.tick > Duration::ZERO && !g.draining {
@@ -282,48 +274,23 @@ pub(crate) fn pump_session(s: &Arc<Session>, swarm: &Swarm) -> bool {
 /// committed): they ride the quantum's group commit, and nothing
 /// observable depends on them until that commit lands.
 fn inject_queued(live: &mut LiveSimulation, g: &mut Inner, s: &Session) {
-    let journal = s.journal.as_ref();
-    while let Some(id) = g.queue.pop_front() {
-        let dag = match &g.slots[id as usize] {
-            Slot::Queued(dag) => Arc::clone(dag),
-            Slot::Cancelled => continue,
-            _ => unreachable!("queued id must be queued or cancelled"),
-        };
+    while let Some((id, dag)) = g.queue.pop_front() {
         let release = live.now();
         g.stamps[id as usize].inject_ns = Some(s.elapsed_ns());
-        let spec = JobSpec {
-            dag: Arc::clone(&dag),
-            release,
-        };
+        g.account_injected(&dag, release);
         let engine_idx = live
-            .inject(spec)
+            .inject(JobSpec { dag, release })
             .expect("admission validated the DAG and release = now() is never in the past");
-        debug_assert_eq!(engine_idx, g.engine_to_id.len());
-        if let Some(j) = journal {
-            j.note_injected(id, release);
-        }
-        for (cat, &w) in g.work_by_cat.iter_mut().zip(dag.work_by_category()) {
-            *cat += w;
-        }
-        g.span_release_max = g.span_release_max.max(dag.span() + release);
-        g.engine_to_id.push(id);
-        g.trace_jobs.push(TraceJob {
-            dag: g.dag_specs[id as usize].clone(),
-            release,
-        });
-        g.completions.push(0);
-        g.slots[id as usize] = Slot::Running { release };
+        s.append(&mut g.log, Record::JobInjected { job: id, release });
+        debug_assert_eq!(g.log.injected()[engine_idx], id);
     }
 }
 
-/// Seal a session: build the canonical trace, dump the flight
-/// recorder, and mark drained.
+/// Seal a session: refresh the final gauges, dump the flight recorder,
+/// snapshot the journal, and mark drained. The canonical trace needs
+/// no sealing — it is derived from the log, which no longer changes.
 fn finalize_drain(live: &LiveSimulation, g: &mut Inner, s: &Session) {
     let cfg = &s.cfg;
-    g.now = live.now();
-    g.active = 0;
-    g.busy_steps = live.busy_steps();
-    g.idle_steps = live.idle_steps();
     s.metrics.active_jobs.set_u64(0);
     s.metrics.virtual_time.set_u64(live.now());
     s.metrics.busy_steps.set_u64(live.busy_steps());
@@ -332,19 +299,10 @@ fn finalize_drain(live: &LiveSimulation, g: &mut Inner, s: &Session) {
     // Seal the journal: one final snapshot (fsync'd regardless of
     // policy) so the directory holds the complete session compactly.
     if let Some(j) = &s.journal {
-        if let Err(e) = j.snapshot(&session_image(cfg, g)).and_then(|()| j.sync()) {
+        if let Err(e) = j.snapshot(g.log.image()).and_then(|()| j.sync()) {
             eprintln!("kserve: journal drain snapshot failed: {e}");
         }
     }
-    g.trace = Some(SessionTrace {
-        machine: cfg.machine.clone(),
-        scheduler: cfg.scheduler,
-        policy: cfg.policy,
-        quantum: cfg.quantum,
-        seed: cfg.seed,
-        jobs: std::mem::take(&mut g.trace_jobs),
-        completions: g.completions.clone(),
-    });
     g.drained = true;
     let mut watchers = std::mem::take(&mut g.watchers);
     watchers.retain(|w| w.send(Event::WatchEnd).is_ok());
@@ -373,5 +331,140 @@ impl Drop for FlightDumpGuard {
         if thread::panicking() {
             dump_flight(self.flight.as_ref(), self.path.as_deref());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{Request, Response};
+    use crate::server::{dispatch, drain_reply_for, Outcome, ServerConfig};
+    use kdag::DagSpec;
+    use kjournal::{FsyncPolicy, JournalDir, JournalStore, SessionImage};
+    use kworkloads::mixes::{batched_mix, MixConfig};
+    use kworkloads::rng_for;
+
+    // A swarm with no worker threads: the test pumps the default
+    // session by hand, so every run of the script is deterministic.
+    fn swarm(journal_dir: Option<PathBuf>) -> Arc<Swarm> {
+        Swarm::new(ServerConfig {
+            quantum: 2,
+            seed: 7,
+            journal_dir,
+            fsync: FsyncPolicy::Never,
+            snapshot_every: 3,
+            ..ServerConfig::default()
+        })
+        .expect("swarm starts")
+    }
+
+    fn reply(swarm: &Arc<Swarm>, line: &str) -> Response {
+        match dispatch(line, swarm) {
+            Outcome::Reply(r) => r,
+            _ => panic!("expected an immediate reply to {line}"),
+        }
+    }
+
+    fn submit(swarm: &Arc<Swarm>, n: usize, seed: u64) {
+        let mut rng = rng_for(seed, 0x10C);
+        let jobs = batched_mix(&mut rng, &MixConfig::new(2, n, 12))
+            .iter()
+            .map(|j| DagSpec::from_dag(&j.dag))
+            .collect();
+        let line = Request::Submit {
+            jobs,
+            scenario: None,
+            watch: false,
+            session: String::new(),
+        }
+        .encode();
+        assert!(matches!(reply(swarm, &line), Response::Submitted { .. }));
+    }
+
+    fn pump(swarm: &Arc<Swarm>, quanta: usize) {
+        let s = swarm.resolve("").unwrap();
+        for _ in 0..quanta {
+            pump_session(&s, swarm);
+        }
+    }
+
+    fn image(swarm: &Arc<Swarm>) -> SessionImage {
+        let s = swarm.resolve("").unwrap();
+        let g = s.inner.lock().unwrap();
+        g.log.image().clone()
+    }
+
+    /// Admissions, a cancel, and several quanta.
+    fn serve_script(swarm: &Arc<Swarm>) {
+        submit(swarm, 4, 1);
+        pump(swarm, 2);
+        submit(swarm, 3, 2);
+        let cancel = reply(swarm, r#"{"cmd":"cancel","job":6}"#);
+        assert_eq!(cancel, Response::Cancelled { job: 6 });
+        pump(swarm, 3);
+        submit(swarm, 5, 3);
+        pump(swarm, 2);
+    }
+
+    fn drain(swarm: &Arc<Swarm>) {
+        assert!(matches!(
+            dispatch(r#"{"cmd":"drain"}"#, swarm),
+            Outcome::Drain(_)
+        ));
+        let s = swarm.resolve("").unwrap();
+        for _ in 0..10_000 {
+            if s.inner.lock().unwrap().drained {
+                return;
+            }
+            pump_session(&s, swarm);
+        }
+        panic!("session never drained");
+    }
+
+    #[test]
+    fn the_live_log_is_the_disk_log() {
+        let dir = std::env::temp_dir().join(format!("kserve-live-log-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let durable = swarm(Some(dir.clone()));
+        let volatile = swarm(None);
+        serve_script(&durable);
+        serve_script(&volatile);
+
+        let live = image(&durable);
+        let (queued, running, cancelled, done) = live.counts();
+        assert!(
+            queued + running > 0 && done > 0,
+            "mid-session: {:?}",
+            live.counts()
+        );
+        assert_eq!(cancelled, 1);
+        let files = JournalDir::read(&dir).unwrap();
+        assert!(files.snapshot.is_some(), "a periodic snapshot was written");
+        let tail = files.wal.as_ref().map_or(0, |wal| wal.records.len());
+        assert!(tail > 0, "records follow the snapshot in the WAL");
+        assert_eq!(files.fold().unwrap().image(), &live, "disk fold = live log");
+        assert_eq!(image(&volatile), live, "journal-less log = journaled log");
+
+        drain(&durable);
+        drain(&volatile);
+        let live = image(&durable);
+        assert_eq!(live.counts(), (0, 0, 1, 11));
+        let (_store, recovered) = JournalStore::open(&dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(
+            recovered.unwrap().image,
+            live,
+            "drained disk fold = live log"
+        );
+        assert_eq!(
+            image(&volatile),
+            live,
+            "drained journal-less log = journaled log"
+        );
+        let trace = drain_reply_for(&durable.resolve("").unwrap()).trace;
+        assert_eq!(trace, drain_reply_for(&volatile.resolve("").unwrap()).trace);
+        trace
+            .verify()
+            .expect("the derived trace replays byte for byte");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

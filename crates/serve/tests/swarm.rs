@@ -215,6 +215,26 @@ fn eight_sessions_replay_and_close_isolation() {
     // require the survivor's ledger to be untouched.
     let survivor = session_name(SchedulerKind::KRad);
     let victim = session_name(SchedulerKind::Drf);
+    // Every tenant client has returned, but a job the survivor already
+    // acked can still be running. Wait until its ledger settles, so no
+    // completion can land between the two stats calls compared below.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    loop {
+        let st = control
+            .stats_reply_of(&survivor)
+            .expect("survivor stats run");
+        if st.completed + st.cancelled == st.admitted {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "survivor ledger never settled: {} completed + {} cancelled of {} admitted",
+            st.completed,
+            st.cancelled,
+            st.admitted
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
     let before = control
         .stats_reply_of(&survivor)
         .expect("survivor stats run");
